@@ -63,7 +63,8 @@ void BM_SimulateGsmDec(benchmark::State& state) {
   for (auto _ : state) {
     BuiltApp app = build_app(App::kGsmDec, Variant::kMusimd);
     const ScheduledProgram sp = compile(std::move(app.program), MachineConfig::musimd(2));
-    Cpu cpu(sp, app.ws->mem());
+    const ExecImage image = lower_image(sp, sp.cfg);
+    Cpu cpu(sp, sp.cfg, app.ws->mem(), image);
     benchmark::DoNotOptimize(cpu.run());
   }
 }

@@ -44,12 +44,14 @@ App app_by_name(const std::string& name);
 Variant variant_for(IsaLevel lvl);
 
 struct BuiltApp {
+  /// Returns "" when the simulated outputs in a workspace match the golden
+  /// codec, else a description of the first mismatch.
+  using Verifier = std::function<std::string(const Workspace&)>;
+
   std::string name;
   Program program;
   std::unique_ptr<Workspace> ws;
-  /// Returns "" when the simulated outputs match the golden codec, else a
-  /// description of the first mismatch.
-  std::function<std::string(const Workspace&)> verify;
+  Verifier verify;
 };
 
 /// Construct the program + workspace + verifier for one app/variant.

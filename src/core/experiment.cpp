@@ -2,28 +2,21 @@
 
 namespace vuv {
 
-namespace {
-
-/// Shared tail of every run: simulate `sp` under `cfg` against the built
-/// app's workspace, then verify the simulated outputs. `image`, when given,
-/// is the shared pre-lowered execution image of `sp`.
-AppResult simulate_built(BuiltApp& built, const ScheduledProgram& sp,
-                         const MachineConfig& cfg,
-                         const ExecImage* image = nullptr) {
-  Cpu cpu = image ? Cpu(sp, cfg, built.ws->mem(), *image)
-                  : Cpu(sp, cfg, built.ws->mem());
+AppResult simulate_app(const std::string& name,
+                       const BuiltApp::Verifier& verify, Workspace& ws,
+                       const ScheduledProgram& sp, const ExecImage& image,
+                       const MachineConfig& cfg) {
+  Cpu cpu(sp, cfg, ws.mem(), image);
   // Steady-state working set (see MemorySystem::warm and DESIGN.md).
-  cpu.warm(0, built.ws->used());
+  cpu.warm(0, ws.used());
   AppResult res;
-  res.app = built.name;
+  res.app = name;
   res.config = cfg.name;
   res.sim = cpu.run();
-  res.verify_error = built.verify(*built.ws);
+  res.verify_error = verify(ws);
   res.verified = res.verify_error.empty();
   return res;
 }
-
-}  // namespace
 
 AppResult run_app_variant(App app, Variant variant, MachineConfig cfg,
                           bool perfect_memory) {
@@ -37,19 +30,8 @@ AppResult run_built(BuiltApp& built, MachineConfig cfg, bool perfect_memory) {
   cfg.mem.perfect = perfect_memory;
   const ScheduledProgram sp = compile(std::move(built.program), cfg);
   built.program = Program{};  // moved-from: make the single-use state explicit
-  return simulate_built(built, sp, cfg);
-}
-
-AppResult run_compiled(App app, Variant variant, const ScheduledProgram& sp,
-                       const MachineConfig& cfg) {
-  BuiltApp built = build_app(app, variant);
-  return simulate_built(built, sp, cfg);
-}
-
-AppResult run_compiled(App app, Variant variant, const ScheduledProgram& sp,
-                       const ExecImage& image, const MachineConfig& cfg) {
-  BuiltApp built = build_app(app, variant);
-  return simulate_built(built, sp, cfg, &image);
+  const ExecImage image = lower_image(sp, cfg);
+  return simulate_app(built.name, built.verify, *built.ws, sp, image, cfg);
 }
 
 AppResult run_app(App app, MachineConfig cfg, bool perfect_memory) {

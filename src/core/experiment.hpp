@@ -27,27 +27,24 @@ AppResult run_app(App app, MachineConfig cfg, bool perfect_memory = false);
 AppResult run_app_variant(App app, Variant variant, MachineConfig cfg,
                           bool perfect_memory = false);
 
-/// Simulate an already-compiled program against a fresh workspace and
-/// verify the outputs. `sp` must be the result of compiling `app` built in
-/// `variant` (build_app is deterministic, so a fresh build reproduces the
-/// exact buffer layout the program was compiled against), and `cfg` must
-/// match sp.cfg up to `name` and `mem.perfect` (see Cpu). This is the
-/// execution path of the sweep runner: one shared compile, many
-/// simulations, each with a private Workspace/MainMemory.
-AppResult run_compiled(App app, Variant variant, const ScheduledProgram& sp,
-                       const MachineConfig& cfg);
-
-/// As above, but replay a pre-lowered execution image (see sim/image.hpp)
-/// instead of lowering one per simulation. `image` must be the lowering of
-/// `sp` under a compile-compatible configuration.
-AppResult run_compiled(App app, Variant variant, const ScheduledProgram& sp,
-                       const ExecImage& image, const MachineConfig& cfg);
-
 /// Compile and simulate an app built by the caller (e.g. a parameterized
 /// imgpipe instance) in place: `built.ws` keeps the simulated outputs, so
 /// tests can read stage buffers back after the run. Single-use — the call
 /// consumes `built.program` (asserted), so build again to run again.
 AppResult run_built(BuiltApp& built, MachineConfig cfg,
                     bool perfect_memory = false);
+
+/// The simulate step every entry point shares, the sweep Runner's included:
+/// replay `image` (the lowering of `sp`) under `cfg` against `ws` in place,
+/// with `ws`'s working set pre-warmed into the L3, then check the outputs
+/// with `verify`. `ws` must hold the app's initial memory: the app's own
+/// workspace (run_built), or a copy of its unit's built snapshot (the
+/// Runner, which builds each app|variant once for all of its cells; a copy
+/// costs only the bytes written, see MainMemory). `cfg` must match sp.cfg
+/// up to `name` and `mem.perfect` (see Cpu).
+AppResult simulate_app(const std::string& name,
+                       const BuiltApp::Verifier& verify, Workspace& ws,
+                       const ScheduledProgram& sp, const ExecImage& image,
+                       const MachineConfig& cfg);
 
 }  // namespace vuv

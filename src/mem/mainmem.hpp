@@ -3,6 +3,7 @@
 // this file is purely functional state.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,15 +13,33 @@
 
 namespace vuv {
 
+/// Simulated memory: size() bytes that read as zero until written.
+///
+/// The backing is lazily zeroed (anonymous pages the OS supplies zeroed on
+/// first touch), and a watermark, extent(), records one past the highest
+/// byte ever written. So constructing a memory costs O(1) whatever its
+/// size, copying one copies only [0, extent()), and every byte at or above
+/// extent() is zero. Addresses and out-of-bounds faults are exactly those
+/// of a flat zero-filled array of size() bytes (DESIGN.md, "Initial-memory
+/// snapshots and lazily zeroed memory").
 class MainMemory {
  public:
-  explicit MainMemory(size_t size = 16u * 1024 * 1024) : data_(size, 0) {}
+  explicit MainMemory(size_t size = 16u * 1024 * 1024);
+  MainMemory(const MainMemory& other);
+  /// Leaves `other` empty: size 0, so any access to it throws.
+  MainMemory(MainMemory&& other) noexcept;
+  MainMemory& operator=(MainMemory other) noexcept;
+  ~MainMemory();
 
-  size_t size() const { return data_.size(); }
+  size_t size() const { return size_; }
+
+  /// One past the highest byte written so far by store() or through a
+  /// mutable bytes() span; every byte from here to size() reads zero.
+  size_t extent() const { return extent_; }
 
   /// Little-endian load of 1/2/4/8 bytes, optionally sign-extended.
   u64 load(Addr addr, int bytes, bool sign_extend) const {
-    check(addr, bytes);
+    check(addr, static_cast<size_t>(bytes));
     u64 v = 0;
     for (int i = bytes - 1; i >= 0; --i) v = (v << 8) | data_[addr + i];
     if (sign_extend && bytes < 8) {
@@ -31,28 +50,36 @@ class MainMemory {
   }
 
   void store(Addr addr, int bytes, u64 value) {
-    check(addr, bytes);
+    check(addr, static_cast<size_t>(bytes));
     for (int i = 0; i < bytes; ++i) {
       data_[addr + i] = static_cast<u8>(value & 0xff);
       value >>= 8;
     }
+    extent_ = std::max(extent_, static_cast<size_t>(addr) +
+                                    static_cast<size_t>(bytes));
   }
 
   std::span<const u8> bytes(Addr addr, size_t n) const {
-    check(addr, static_cast<int>(n));
-    return {data_.data() + addr, n};
+    check(addr, n);
+    return {data_ + addr, n};
   }
+  /// The caller may write anywhere in the span, so the watermark moves to
+  /// its end.
   std::span<u8> bytes(Addr addr, size_t n) {
-    check(addr, static_cast<int>(n));
-    return {data_.data() + addr, n};
+    check(addr, n);
+    extent_ = std::max(extent_, static_cast<size_t>(addr) + n);
+    return {data_ + addr, n};
   }
 
  private:
-  void check(Addr addr, int n) const {
-    if (static_cast<size_t>(addr) + static_cast<size_t>(n) > data_.size())
+  void check(Addr addr, size_t n) const {
+    if (addr > size_ || n > size_ - addr)
       throw SimError("memory access out of bounds at " + std::to_string(addr));
   }
-  std::vector<u8> data_;
+
+  u8* data_ = nullptr;
+  size_t size_ = 0;
+  size_t extent_ = 0;
 };
 
 /// A named simulated buffer: base address plus its memory-disambiguation

@@ -1,6 +1,7 @@
 #include "ref/diff.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -9,12 +10,14 @@ namespace vuv {
 
 namespace {
 
-/// First differing byte of two equally-sized memories, or -1.
+/// First differing byte of two equally-sized memories, or -1. Both read
+/// zero from their extents up, so only the longer written prefix can differ.
 i64 first_mem_diff(const MainMemory& a, const MainMemory& b) {
-  const std::span<const u8> pa = a.bytes(0, a.size());
-  const std::span<const u8> pb = b.bytes(0, b.size());
+  const size_t n = std::max(a.extent(), b.extent());
+  const std::span<const u8> pa = a.bytes(0, n);
+  const std::span<const u8> pb = b.bytes(0, n);
+  if (n == 0 || std::memcmp(pa.data(), pb.data(), n) == 0) return -1;
   const auto [ia, ib] = std::mismatch(pa.begin(), pa.end(), pb.begin());
-  if (ia == pa.end()) return -1;
   return static_cast<i64>(ia - pa.begin());
 }
 
@@ -45,7 +48,8 @@ DiffReport diff_program(const Program& prog, const MainMemory& init_mem,
   ScheduledProgram sp;
   try {
     sp = compile(Program(prog), cfg, copts);
-    Cpu cpu(sp, sim_mem);
+    const ExecImage image = lower_image(sp, sp.cfg);
+    Cpu cpu(sp, sp.cfg, sim_mem, image);
     cpu.warm(0, warm_bytes);
     rep.sim = cpu.run();
   } catch (const InternalError&) {

@@ -20,7 +20,7 @@ void CompileCache::set_metrics(obs::Registry* metrics) {
   m_build_us_ = &metrics->histogram("compile_cache.build_us");
 }
 
-std::shared_ptr<const CompileCache::BuiltUnit> CompileCache::built_unit(
+std::shared_ptr<const BuiltUnit> CompileCache::built_unit(
     App app, Variant variant, const std::string& unit) {
   std::promise<std::shared_ptr<const BuiltUnit>> promise;
   BuiltEntry entry;
@@ -38,11 +38,10 @@ std::shared_ptr<const CompileCache::BuiltUnit> CompileCache::built_unit(
   }
   if (owner) {
     try {
-      BuiltApp built = build_app(app, variant);
-      auto bu = std::make_shared<BuiltUnit>();
-      bu->program = std::move(built.program);
-      bu->mem_extent = built.ws->used();
-      promise.set_value(std::move(bu));
+      BuiltApp b = build_app(app, variant);
+      promise.set_value(std::make_shared<const BuiltUnit>(
+          BuiltUnit{std::move(b.name), std::move(b.program), std::move(*b.ws),
+                    std::move(b.verify)}));
     } catch (...) {
       promise.set_exception(std::current_exception());
     }
@@ -87,17 +86,16 @@ std::shared_ptr<const CompiledProgram> CompileCache::get(
       // simulations supply their own memory mode via the Cpu override.
       MachineConfig compile_cfg = cfg;
       compile_cfg.mem.perfect = false;
-      const std::shared_ptr<const BuiltUnit> built =
-          built_unit(app, variant, unit);
       auto cp = std::make_shared<CompiledProgram>();
+      cp->unit = built_unit(app, variant, unit);
       const bool strict = strict_verify_.load(std::memory_order_relaxed);
       CompileOptions copts;
       if (strict) {
         copts.strict_verify = true;
-        copts.mem_extent = built->mem_extent;
+        copts.mem_extent = cp->unit->ws.used();
         copts.unit = unit;
       }
-      cp->sp = compile(Program(built->program), compile_cfg, copts);
+      cp->sp = compile(Program(cp->unit->program), compile_cfg, copts);
       cp->image = lower_image(cp->sp, compile_cfg);
       if (strict) {
         const lint::DiagReport rep =

@@ -1,11 +1,13 @@
 // Thread-safe cache of compiled programs, keyed by (app, variant,
-// compile_signature(cfg)). Each unique key is built, scheduled and lowered
-// to its predecoded execution image exactly once, even under concurrent
-// requests: the first requester compiles while later ones block on a
-// shared_future for the same key. The cached CompiledProgram is immutable
-// and shared by every simulation of that cell family — including both
-// memory modes, since `mem.perfect` and `name` are excluded from the
-// signature and do not affect the image.
+// compile_signature(cfg)). Each app|variant unit is built exactly once, and
+// each unique key is scheduled and lowered to its predecoded execution
+// image exactly once, even under concurrent requests: the first requester
+// builds or compiles while later ones block on a shared_future for the same
+// key. The cached CompiledProgram is immutable and shared by every
+// simulation of that cell family — including both memory modes, since
+// `mem.perfect` and `name` are excluded from the signature and do not
+// affect the image — and points at its unit's build, whose workspace is the
+// initial-memory snapshot every one of those simulations copies.
 #pragma once
 
 #include <atomic>
@@ -22,9 +24,19 @@
 
 namespace vuv {
 
+/// One app|variant build (build_app is config-independent), made once and
+/// shared read-only by every compile and simulation of the unit.
+struct BuiltUnit {
+  std::string name;
+  Program program;  // copied into each per-config compile
+  Workspace ws;     // initial memory: each simulation runs on a copy
+  BuiltApp::Verifier verify;
+};
+
 /// A scheduled program together with its predecoded execution image (see
 /// sim/image.hpp): compiled once, simulated many times.
 struct CompiledProgram {
+  std::shared_ptr<const BuiltUnit> unit;  // what this was compiled from
   ScheduledProgram sp;
   ExecImage image;
 };
@@ -64,13 +76,6 @@ class CompileCache {
  private:
   using Entry = std::shared_future<std::shared_ptr<const CompiledProgram>>;
 
-  // build_app(app, variant) is config-independent, so the built program is
-  // cached once per "app|variant" unit and copied into each per-config
-  // compile instead of being rebuilt for every signature.
-  struct BuiltUnit {
-    Program program;
-    i64 mem_extent = 0;  // workspace bytes used, for strict verification
-  };
   using BuiltEntry = std::shared_future<std::shared_ptr<const BuiltUnit>>;
 
   std::shared_ptr<const BuiltUnit> built_unit(App app, Variant variant,

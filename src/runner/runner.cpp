@@ -79,8 +79,10 @@ Runner::Entry Runner::enqueue(const SweepCell& cell) {
       auto outcome = std::make_shared<CellOutcome>();
       outcome->cell = cell;
       outcome->cell.cfg.mem.perfect = cell.perfect;
+      const BuiltUnit& unit = *cp->unit;
+      Workspace ws = unit.ws;  // the cell's own copy of the initial memory
       outcome->result =
-          run_compiled(cell.app, cell.variant, cp->sp, cp->image, sim_cfg);
+          simulate_app(unit.name, unit.verify, ws, cp->sp, cp->image, sim_cfg);
       outcome->wall_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - t0)

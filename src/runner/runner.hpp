@@ -1,6 +1,7 @@
 // Parallel sweep executor: runs the cells of a SweepSpec on a thread pool,
-// sharing one CompileCache (each unique (app, variant, config) compiled
-// once) while giving every simulation its own Workspace/MainMemory.
+// sharing one CompileCache (each app|variant built once, each unique (app,
+// variant, config) compiled once) while giving every simulation its own
+// copy of the unit's initial Workspace.
 // Results are cached per cell and returned in spec order regardless of
 // completion order, so a jobs=8 sweep reports byte-identically to jobs=1.
 #pragma once
@@ -27,9 +28,9 @@ class ResultCache;
 struct CellOutcome {
   SweepCell cell;
   AppResult result;
-  /// Host wall-clock of the simulate+verify step, for operator feedback
-  /// only — never written into reports (it would break byte-identical
-  /// serial/parallel output).
+  /// Host wall-clock of the memory set-up (the snapshot copy), simulate and
+  /// verify steps, for operator feedback only — never written into reports
+  /// (it would break byte-identical serial/parallel output).
   double wall_ms = 0.0;
 };
 

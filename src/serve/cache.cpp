@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -197,9 +198,11 @@ void ResultCache::store(const std::string& key, const AppResult& result) {
 
   // Unique-per-writer temp name, then an atomic rename into place: two
   // daemons racing on one directory each publish a complete entry and the
-  // later rename wins whole — no reader interleaving is possible.
+  // later rename wins whole — no reader interleaving is possible. The serial
+  // is process-wide because two caches in one process may share a directory.
+  static std::atomic<u64> tmp_serial{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(tmp_serial_.fetch_add(1));
+                          std::to_string(tmp_serial.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return;

@@ -87,7 +87,6 @@ class ResultCache {
 
   ResultCacheOptions opts_;
   std::atomic<i64> entries_{0};     // approximate; corrected by each sweep
-  std::atomic<u64> tmp_serial_{0};  // uniquifies temp names within a process
   std::mutex sweep_mu_;
 
   std::atomic<i64> hits_{0};

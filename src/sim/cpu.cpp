@@ -71,32 +71,17 @@ class FuTracker {
 
 }  // namespace
 
-Cpu::Cpu(const ScheduledProgram& sp, MainMemory& mem)
-    : sp_(sp), cfg_(sp.cfg), mem_(mem),
-      own_image_(std::make_unique<ExecImage>(lower_image(sp, sp.cfg))),
-      image_(own_image_.get()) {}
-
-Cpu::Cpu(const ScheduledProgram& sp, const MachineConfig& cfg, MainMemory& mem)
-    : sp_(sp), cfg_(cfg), mem_(mem) {
-  VUV_CHECK(compile_signature(cfg) == compile_signature(sp.cfg),
-            "simulation config is incompatible with the compiled program");
-  own_image_ = std::make_unique<ExecImage>(lower_image(sp, cfg));
-  image_ = own_image_.get();
-}
-
 Cpu::Cpu(const ScheduledProgram& sp, const MachineConfig& cfg, MainMemory& mem,
          const ExecImage& image)
-    : sp_(sp), cfg_(cfg), mem_(mem), image_(&image) {
+    : sp_(sp), cfg_(cfg), mem_(mem), image_(image) {
   VUV_CHECK(compile_signature(cfg) == compile_signature(sp.cfg),
             "simulation config is incompatible with the compiled program");
 }
-
-Cpu::~Cpu() = default;
 
 SimResult Cpu::run(Cycle max_cycles) {
   const MachineConfig& cfg = cfg_;
   const Program& prog = sp_.prog;
-  const ExecImage& im = *image_;
+  const ExecImage& im = image_;
   VUV_CHECK(prog.allocated, "program must be register-allocated");
 
   CpuState st;
@@ -305,13 +290,15 @@ SimResult Cpu::run(Cycle max_cycles) {
 
 SimResult run_program(Program prog, const MachineConfig& cfg, MainMemory& mem) {
   const ScheduledProgram sp = compile(std::move(prog), cfg);
-  Cpu cpu(sp, mem);
+  const ExecImage image = lower_image(sp, sp.cfg);
+  Cpu cpu(sp, sp.cfg, mem, image);
   return cpu.run();
 }
 
 SimResult run_program(Program prog, const MachineConfig& cfg, Workspace& ws) {
   const ScheduledProgram sp = compile(std::move(prog), cfg);
-  Cpu cpu(sp, ws.mem());
+  const ExecImage image = lower_image(sp, sp.cfg);
+  Cpu cpu(sp, sp.cfg, ws.mem(), image);
   cpu.warm(0, ws.used());
   return cpu.run();
 }

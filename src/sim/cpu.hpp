@@ -10,8 +10,6 @@
 // a cache miss or bank conflict").
 #pragma once
 
-#include <memory>
-
 #include "mem/hierarchy.hpp"
 #include "obs/stall.hpp"
 #include "sched/schedule.hpp"
@@ -69,26 +67,15 @@ struct SimResult {
 
 class Cpu {
  public:
-  /// The scheduled program must outlive the Cpu.
-  Cpu(const ScheduledProgram& sp, MainMemory& mem);
-
-  /// As above, but simulate under `cfg` instead of the configuration the
-  /// program was compiled for. `cfg` must have the same compile_signature
-  /// as `sp.cfg` (checked); it may differ in `name` and `mem.perfect`,
-  /// which is how the runner's CompileCache shares one compiled program
-  /// between the realistic and perfect-memory runs. Both `sp` and `cfg`
-  /// must outlive the Cpu.
-  Cpu(const ScheduledProgram& sp, const MachineConfig& cfg, MainMemory& mem);
-
-  /// As above, but replay a pre-lowered execution image instead of lowering
-  /// one at construction. `image` must come from lower_image(sp, cfg') with
-  /// cfg' compile-compatible with `cfg`, and must outlive the Cpu. This is
-  /// the sweep-runner fast path: one image per compiled program, shared by
-  /// every simulation (both memory modes) of that program.
+  /// Simulate `sp` replaying `image`, which must come from
+  /// lower_image(sp, cfg') with cfg' compile-compatible with `cfg`. `cfg`
+  /// must have the same compile_signature as `sp.cfg` (checked); it may
+  /// differ in `name` and `mem.perfect`, which is how the runner's
+  /// CompileCache shares one compiled program and image between the
+  /// realistic and perfect-memory runs. `sp`, `cfg`, `mem` and `image` must
+  /// outlive the Cpu.
   Cpu(const ScheduledProgram& sp, const MachineConfig& cfg, MainMemory& mem,
       const ExecImage& image);
-
-  ~Cpu();
 
   /// Pre-fill the L3 with an address range before running (see
   /// MemorySystem::warm).
@@ -107,16 +94,15 @@ class Cpu {
   /// Run to HALT. Throws SimError if `max_cycles` elapses first.
   SimResult run(Cycle max_cycles = 4'000'000'000LL);
 
-  /// The execution image being replayed (owned or shared). StallProfile op
-  /// indices index this image's `ops` (see obs/profile_report.hpp).
-  const ExecImage& image() const { return *image_; }
+  /// The execution image being replayed. StallProfile op indices index
+  /// this image's `ops` (see obs/profile_report.hpp).
+  const ExecImage& image() const { return image_; }
 
  private:
   const ScheduledProgram& sp_;
-  const MachineConfig& cfg_;  // simulation-time configuration (default sp.cfg)
+  const MachineConfig& cfg_;  // simulation-time configuration
   MainMemory& mem_;
-  std::unique_ptr<const ExecImage> own_image_;  // set when not shared
-  const ExecImage* image_ = nullptr;
+  const ExecImage& image_;
   std::vector<std::pair<Addr, u32>> warm_;
   obs::TraceSink* trace_ = nullptr;
   StallProfile* profile_ = nullptr;

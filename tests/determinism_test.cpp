@@ -6,42 +6,11 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "runner/compile_cache.hpp"
+#include "sim_result_eq.hpp"
 
 namespace vuv {
 namespace {
-
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.config_name, b.config_name);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
-  EXPECT_EQ(a.taken_branches, b.taken_branches);
-
-  ASSERT_EQ(a.regions.size(), b.regions.size());
-  for (size_t i = 0; i < a.regions.size(); ++i) {
-    EXPECT_EQ(a.regions[i].name, b.regions[i].name) << "region " << i;
-    EXPECT_EQ(a.regions[i].cycles, b.regions[i].cycles) << "region " << i;
-    EXPECT_EQ(a.regions[i].ops, b.regions[i].ops) << "region " << i;
-    EXPECT_EQ(a.regions[i].uops, b.regions[i].uops) << "region " << i;
-    EXPECT_EQ(a.regions[i].words, b.regions[i].words) << "region " << i;
-  }
-
-  const MemStats& ma = a.mem;
-  const MemStats& mb = b.mem;
-  EXPECT_EQ(ma.scalar_accesses, mb.scalar_accesses);
-  EXPECT_EQ(ma.l1_hits, mb.l1_hits);
-  EXPECT_EQ(ma.l1_misses, mb.l1_misses);
-  EXPECT_EQ(ma.vector_accesses, mb.vector_accesses);
-  EXPECT_EQ(ma.vector_nonunit_stride, mb.vector_nonunit_stride);
-  EXPECT_EQ(ma.l2_hits, mb.l2_hits);
-  EXPECT_EQ(ma.l2_misses, mb.l2_misses);
-  EXPECT_EQ(ma.l2_scalar_hits, mb.l2_scalar_hits);
-  EXPECT_EQ(ma.l2_scalar_misses, mb.l2_scalar_misses);
-  EXPECT_EQ(ma.l3_hits, mb.l3_hits);
-  EXPECT_EQ(ma.l3_misses, mb.l3_misses);
-  EXPECT_EQ(ma.coherency_invalidations, mb.coherency_invalidations);
-  EXPECT_EQ(ma.coherency_writebacks, mb.coherency_writebacks);
-  EXPECT_EQ(ma.bank_pairs, mb.bank_pairs);
-}
 
 void roundtrip(App app, const MachineConfig& cfg, bool perfect) {
   SCOPED_TRACE(std::string(app_name(app)) + " on " + cfg.name +
@@ -70,20 +39,26 @@ TEST(Determinism, VectorPerfect) {
 }
 
 // The shared-compile path must also be deterministic AND equal to the
-// private-compile path: compiling once and simulating against two fresh
-// workspaces reproduces run_app exactly.
+// private-compile path: one CompileCache compile, simulated in both memory
+// modes against copies of the unit's built snapshot, reproduces run_app
+// exactly.
 TEST(Determinism, SharedCompileMatchesPrivateCompile) {
   const App app = App::kGsmDec;
   const Variant variant = Variant::kVector;
   MachineConfig cfg = MachineConfig::vector2(2);
-
-  BuiltApp built = build_app(app, variant);
-  const ScheduledProgram sp = compile(std::move(built.program), cfg);
-
-  const AppResult via_cache_r = run_compiled(app, variant, sp, cfg);
   MachineConfig perfect_cfg = cfg;
   perfect_cfg.mem.perfect = true;
-  const AppResult via_cache_p = run_compiled(app, variant, sp, perfect_cfg);
+
+  CompileCache cache;
+  const std::shared_ptr<const CompiledProgram> cp =
+      cache.get(app, variant, cfg);
+  const auto via_cache = [&cp](const MachineConfig& c) {
+    Workspace ws = cp->unit->ws;
+    return simulate_app(cp->unit->name, cp->unit->verify, ws, cp->sp,
+                        cp->image, c);
+  };
+  const AppResult via_cache_r = via_cache(cfg);
+  const AppResult via_cache_p = via_cache(perfect_cfg);
 
   const AppResult direct_r = run_app_variant(app, variant, cfg, false);
   const AppResult direct_p = run_app_variant(app, variant, cfg, true);

@@ -4,6 +4,8 @@
 // legal vector length.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "ir/builder.hpp"
@@ -30,10 +32,17 @@ i64 ref_lane(Opcode op, i64 a, i64 b) {
   }
 }
 
+// The parameter structs below carry `id`, the text gtest lists as the case's
+// GetParam() and ctest appends to the test name. Without it gtest lists a
+// byte dump of the struct, whose padding bytes are uninitialised, so a rebuild
+// could rename a case; each case keeps the name it was published under.
 struct LaneCase {
   Opcode op;
   int bits;
+  const char* id;
 };
+
+void PrintTo(const LaneCase& c, std::ostream* os) { *os << c.id; }
 
 class PackedLaneOps : public ::testing::TestWithParam<LaneCase> {};
 
@@ -58,10 +67,15 @@ TEST_P(PackedLaneOps, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Saturating, PackedLaneOps,
-    ::testing::Values(LaneCase{Opcode::M_PADDSB, 8}, LaneCase{Opcode::M_PADDSH, 16},
-                      LaneCase{Opcode::M_PSUBSB, 8}, LaneCase{Opcode::M_PSUBSH, 16},
-                      LaneCase{Opcode::M_PMINSH, 16}, LaneCase{Opcode::M_PMAXSH, 16},
-                      LaneCase{Opcode::M_PMULHH, 16}, LaneCase{Opcode::M_PCMPGTH, 16}));
+    ::testing::Values(
+        LaneCase{Opcode::M_PADDSB, 8, "8-byte object <2E-00 01-1B 08-00 00-00>"},
+        LaneCase{Opcode::M_PADDSH, 16, "8-byte object <2F-00 04-00 10-00 00-00>"},
+        LaneCase{Opcode::M_PSUBSB, 8, "8-byte object <35-00 48-00 08-00 00-00>"},
+        LaneCase{Opcode::M_PSUBSH, 16, "8-byte object <36-00 55-00 10-00 00-00>"},
+        LaneCase{Opcode::M_PMINSH, 16, "8-byte object <41-00 00-00 10-00 00-00>"},
+        LaneCase{Opcode::M_PMAXSH, 16, "8-byte object <42-00 00-00 10-00 00-00>"},
+        LaneCase{Opcode::M_PMULHH, 16, "8-byte object <3A-00 00-00 10-00 00-00>"},
+        LaneCase{Opcode::M_PCMPGTH, 16, "8-byte object <5C-00 00-00 10-00 00-00>"}));
 
 // ---- algebraic properties ---------------------------------------------------
 
@@ -100,7 +114,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PackedAlgebra, ::testing::Range(0, 25));
 struct VlCase {
   Opcode vop;
   i32 vl;
+  const char* id;
 };
+
+void PrintTo(const VlCase& c, std::ostream* os) { *os << c.id; }
 
 class VectorMatchesMusimd : public ::testing::TestWithParam<VlCase> {};
 
@@ -136,13 +153,21 @@ TEST_P(VectorMatchesMusimd, ElementwiseEquivalence) {
 
 INSTANTIATE_TEST_SUITE_P(
     OpsAndLengths, VectorMatchesMusimd,
-    ::testing::Values(VlCase{Opcode::V_PADDB, 1}, VlCase{Opcode::V_PADDB, 16},
-                      VlCase{Opcode::V_PADDUSH, 3}, VlCase{Opcode::V_PSUBSB, 7},
-                      VlCase{Opcode::V_PMULLH, 8}, VlCase{Opcode::V_PMULHH, 16},
-                      VlCase{Opcode::V_PAVGB, 5}, VlCase{Opcode::V_PMINUB, 12},
-                      VlCase{Opcode::V_PSADBW, 16}, VlCase{Opcode::V_PACKUSHB, 9},
-                      VlCase{Opcode::V_PUNPCKLBH, 4}, VlCase{Opcode::V_PCMPGTB, 16},
-                      VlCase{Opcode::V_PAND, 2}, VlCase{Opcode::V_PMADDH, 16}));
+    ::testing::Values(
+        VlCase{Opcode::V_PADDB, 1, "8-byte object <65-00 00-00 01-00 00-00>"},
+        VlCase{Opcode::V_PADDB, 16, "8-byte object <65-00 D8-A4 10-00 00-00>"},
+        VlCase{Opcode::V_PADDUSH, 3, "8-byte object <6B-00 94-24 03-00 00-00>"},
+        VlCase{Opcode::V_PSUBSB, 7, "8-byte object <6F-00 FF-FF 07-00 00-00>"},
+        VlCase{Opcode::V_PMULLH, 8, "8-byte object <73-00 00-00 08-00 00-00>"},
+        VlCase{Opcode::V_PMULHH, 16, "8-byte object <74-00 D8-A4 10-00 00-00>"},
+        VlCase{Opcode::V_PAVGB, 5, "8-byte object <77-00 94-24 05-00 00-00>"},
+        VlCase{Opcode::V_PMINUB, 12, "8-byte object <79-00 FF-FF 0C-00 00-00>"},
+        VlCase{Opcode::V_PSADBW, 16, "8-byte object <7D-00 00-00 10-00 00-00>"},
+        VlCase{Opcode::V_PACKUSHB, 9, "8-byte object <7F-00 D8-A4 09-00 00-00>"},
+        VlCase{Opcode::V_PUNPCKLBH, 4, "8-byte object <81-00 94-24 04-00 00-00>"},
+        VlCase{Opcode::V_PCMPGTB, 16, "8-byte object <95-00 FF-FF 10-00 00-00>"},
+        VlCase{Opcode::V_PAND, 2, "8-byte object <8F-00 00-00 02-00 00-00>"},
+        VlCase{Opcode::V_PMADDH, 16, "8-byte object <76-00 94-24 10-00 00-00>"}));
 
 }  // namespace
 }  // namespace vuv

@@ -181,5 +181,38 @@ TEST(RefDiff, InjectedFaultIsReported) {
   EXPECT_EQ(rep.kind, DiffKind::kMismatch);
 }
 
+// diff_program compares only what either side wrote, so a divergence stored
+// far above the initial memory's written extent must still be found, at
+// its exact address: here the last 8 bytes of a 1 MiB memory.
+TEST(RefDiff, MismatchStoredPastInitialExtentIsReported) {
+  constexpr u32 kMem = 1u << 20;
+  ProgramBuilder pb;
+  Workspace ws(kMem);
+  const Buffer in = ws.alloc(8);
+  ws.write_u8(in, std::vector<u8>(8, 0xf0));
+  const Addr top = kMem - 8;
+  ASSERT_LT(ws.mem().extent(), top);
+  Reg pin = pb.movi(static_cast<i64>(in.addr));
+  Reg pout = pb.movi(static_cast<i64>(top));
+  Reg a = pb.ldqs(pin, 0, in.group);
+  Reg sum = pb.m2(Opcode::M_PADDUSB, a, pb.movis(0x2020202020202020ull));
+  pb.stqs(sum, pout, 0, static_cast<u16>(in.group + 1));
+  const Program prog = pb.take();
+
+  const DiffReport clean =
+      diff_program(prog, ws.mem(), ws.used(), MachineConfig::musimd(2));
+  EXPECT_TRUE(clean.ok) << clean.error;
+
+  InterpOptions bad;
+  bad.fault = InterpFault::kPaddusbWraps;  // 0xf0 + 0x20 wraps to 0x10
+  const DiffReport rep =
+      diff_program(prog, ws.mem(), ws.used(), MachineConfig::musimd(2), bad);
+  EXPECT_EQ(rep.kind, DiffKind::kMismatch);
+  EXPECT_NE(rep.error.find("memory mismatch at address " + std::to_string(top) +
+                           ": interpreter byte 0x10 vs simulator byte 0xff"),
+            std::string::npos)
+      << rep.error;
+}
+
 }  // namespace
 }  // namespace vuv

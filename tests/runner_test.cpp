@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "runner/report.hpp"
 #include "runner/runner.hpp"
+#include "sim_result_eq.hpp"
 
 namespace vuv {
 namespace {
@@ -132,6 +134,42 @@ TEST(Runner, PrefetchThenRunUsesCachedResults) {
   for (size_t i = 0; i < outcomes.size(); ++i)
     EXPECT_EQ(outcomes[i].cell.key(), spec.cells[i].key());
   EXPECT_EQ(runner.compile_cache().compiled_programs(), 3);
+}
+
+// Every cell of a unit simulates a copy of the unit's one build. Four
+// workers race over one unit (two configs x both memory modes): each result
+// equals a private run_app field by field, and afterwards the shared
+// snapshot is still exactly the memory a fresh build_app produces.
+TEST(Runner, SharedSnapshotMatchesRunAppAndStaysPristine) {
+  const App app = App::kGsmDec;
+  const SweepSpec spec = SweepSpec::matrix(
+      {app}, {MachineConfig::vector1(2), MachineConfig::vector2(2)},
+      {false, true});
+  RunnerOptions ropts;
+  ropts.jobs = 4;
+  Runner runner(ropts);
+  const std::vector<CellOutcome> outcomes = runner.run(spec);
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const CellOutcome& o : outcomes) {
+    SCOPED_TRACE(o.cell.key());
+    ASSERT_EQ(o.cell.variant, Variant::kVector);  // one unit for every cell
+    const AppResult direct = run_app(app, o.cell.cfg, o.cell.perfect);
+    EXPECT_TRUE(o.result.verified) << o.result.verify_error;
+    EXPECT_EQ(o.result.app, direct.app);
+    EXPECT_EQ(o.result.config, direct.config);
+    expect_identical(o.result.sim, direct.sim);
+  }
+
+  const std::shared_ptr<const CompiledProgram> cp =
+      runner.compile_cache().get(app, Variant::kVector, spec.cells[0].cfg);
+  const BuiltApp fresh = build_app(app, Variant::kVector);
+  const MainMemory& snapshot = cp->unit->ws.mem();
+  const MainMemory& want = fresh.ws->mem();
+  EXPECT_EQ(cp->unit->ws.used(), fresh.ws->used());
+  ASSERT_EQ(snapshot.size(), want.size());
+  EXPECT_EQ(std::memcmp(snapshot.bytes(0, snapshot.size()).data(),
+                        want.bytes(0, want.size()).data(), want.size()),
+            0);
 }
 
 }  // namespace

@@ -124,8 +124,8 @@ struct Traced {
 Traced run_observed(const ScheduledProgram& sp, const MachineConfig& cfg,
                     const ExecImage* image, bool with_sink) {
   BuiltApp built = build_app(App::kGsmDec, variant_for(cfg.isa));
-  Cpu cpu = image ? Cpu(sp, cfg, built.ws->mem(), *image)
-                  : Cpu(sp, built.ws->mem());
+  const ExecImage own = image ? ExecImage{} : lower_image(sp, sp.cfg);
+  Cpu cpu(sp, cfg, built.ws->mem(), image ? *image : own);
   cpu.warm(0, built.ws->used());
   obs::ChromeTraceSink sink;
   Traced t;
@@ -204,7 +204,8 @@ TEST(Trace, ProfileRowsSortedAndConsistent) {
   const ScheduledProgram sp = compile(std::move(built.program), cfg);
 
   BuiltApp run_ws = build_app(App::kGsmDec, variant_for(cfg.isa));
-  Cpu cpu(sp, run_ws.ws->mem());
+  const ExecImage image = lower_image(sp, sp.cfg);
+  Cpu cpu(sp, sp.cfg, run_ws.ws->mem(), image);
   cpu.warm(0, run_ws.ws->used());
   StallProfile profile;
   cpu.set_profile(&profile);

@@ -105,7 +105,8 @@ int main(int argc, char** argv) {
     const u32 used = built.ws->used();
     const ScheduledProgram sp = compile(std::move(built.program), cfg);
 
-    Cpu cpu(sp, built.ws->mem());
+    const ExecImage image = lower_image(sp, sp.cfg);
+    Cpu cpu(sp, sp.cfg, built.ws->mem(), image);
     cpu.warm(0, used);  // steady-state working set, like every other driver
     obs::ChromeTraceSink sink;
     StallProfile profile;

@@ -41,7 +41,8 @@ AppResult run_built(BuiltApp& built, MachineConfig cfg,
 /// workspace (run_built), or a copy of its unit's built snapshot (the
 /// Runner, which builds each app|variant once for all of its cells; a copy
 /// costs only the bytes written, see MainMemory). `cfg` must match sp.cfg
-/// up to `name` and `mem.perfect` (see Cpu).
+/// up to `name` and `mem`, i.e. have the same schedule_signature (see Cpu);
+/// the memory system is built from `cfg`.
 AppResult simulate_app(const std::string& name,
                        const BuiltApp::Verifier& verify, Workspace& ws,
                        const ScheduledProgram& sp, const ExecImage& image,

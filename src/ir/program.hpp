@@ -29,6 +29,7 @@ struct BasicBlock {
     const OpFlags f = last.info().flags;
     return (f.branch || f.jump || f.halt) ? &last : nullptr;
   }
+  bool operator==(const BasicBlock& o) const = default;
 };
 
 struct Program {
@@ -53,6 +54,7 @@ struct Program {
     for (const auto& b : blocks) n += static_cast<i64>(b.ops.size());
     return n;
   }
+  bool operator==(const Program& o) const = default;
 };
 
 /// Throws IrError if the program is malformed (bad operand classes, missing

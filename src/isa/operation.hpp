@@ -27,6 +27,7 @@ struct Operation {
   i32 target_block = -1;
 
   const OpInfo& info() const { return op_info(op); }
+  bool operator==(const Operation& o) const = default;
 };
 
 std::string to_string(const Operation& op);

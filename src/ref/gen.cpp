@@ -1,6 +1,7 @@
 #include "ref/gen.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <sstream>
 
@@ -549,7 +550,16 @@ Reg parse_reg(const std::string& s) {
     case 'a': cls = RegClass::kAcc; break;
     default: throw Error("gen: bad register '" + s + "'");
   }
-  return Reg{cls, static_cast<i32>(std::stol(s.substr(1)))};
+  // The rest of the token must be exactly a non-negative i32: missing
+  // digits, trailing junk, a sign or overflow is an Error, never a
+  // truncated or wrapped id.
+  const char* const first = s.data() + 1;
+  const char* const last = s.data() + s.size();
+  i32 id = -1;
+  const auto [end, ec] = std::from_chars(first, last, id);
+  if (ec != std::errc{} || end != last || *first == '-')
+    throw Error("gen: bad register '" + s + "'");
+  return Reg{cls, id};
 }
 
 Variant parse_variant(const std::string& s) {

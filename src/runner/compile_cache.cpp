@@ -12,11 +12,13 @@ void CompileCache::set_metrics(obs::Registry* metrics) {
   if (!metrics) {
     m_hits_ = nullptr;
     m_misses_ = nullptr;
+    m_schedules_ = nullptr;
     m_build_us_ = nullptr;
     return;
   }
   m_hits_ = &metrics->counter("compile_cache.hits");
   m_misses_ = &metrics->counter("compile_cache.misses");
+  m_schedules_ = &metrics->counter("compile_cache.schedules");
   m_build_us_ = &metrics->histogram("compile_cache.build_us");
 }
 
@@ -51,26 +53,33 @@ std::shared_ptr<const BuiltUnit> CompileCache::built_unit(
 
 std::shared_ptr<const CompiledProgram> CompileCache::get(
     App app, Variant variant, const MachineConfig& cfg) {
-  std::string key = app_name(app);
+  std::string unit = app_name(app);
+  unit += '|';
+  unit += variant_name(variant);
+  std::string identity = unit;  // what Stats counts
+  identity += '|';
+  identity += compile_signature(cfg);
+  std::string key = unit;  // what is compiled
   key += '|';
-  key += variant_name(variant);
-  const std::string unit = key;  // diagnostic label for strict verification
-  key += '|';
-  key += compile_signature(cfg);
+  key += schedule_signature(cfg);
 
   std::promise<std::shared_ptr<const CompiledProgram>> promise;
   Entry entry;
   bool owner = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      if (m_hits_) m_hits_->inc();
-      entry = it->second;
-    } else {
+    if (identities_.insert(std::move(identity)).second) {
       ++stats_.misses;
       if (m_misses_) m_misses_->inc();
+    } else {
+      ++stats_.hits;
+      if (m_hits_) m_hits_->inc();
+    }
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      entry = it->second;
+    } else {
+      if (m_schedules_) m_schedules_->inc();
       entry = promise.get_future().share();
       entries_.emplace(std::move(key), entry);
       owner = true;
@@ -81,11 +90,11 @@ std::shared_ptr<const CompiledProgram> CompileCache::get(
     // Compile outside the lock so independent keys compile concurrently.
     const auto started = std::chrono::steady_clock::now();
     try {
-      // Canonicalize the stored configuration to realistic memory: the
-      // signature guarantees the schedule is identical either way, and
-      // simulations supply their own memory mode via the Cpu override.
+      // Canonicalize the stored configuration's memory hierarchy: no
+      // compile layer reads it, and each simulation supplies its own
+      // through the Cpu's configuration.
       MachineConfig compile_cfg = cfg;
-      compile_cfg.mem.perfect = false;
+      compile_cfg.mem = MemParams{};
       auto cp = std::make_shared<CompiledProgram>();
       cp->unit = built_unit(app, variant, unit);
       const bool strict = strict_verify_.load(std::memory_order_relaxed);
@@ -123,7 +132,7 @@ CompileCache::Stats CompileCache::stats() const {
 
 i64 CompileCache::compiled_programs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_.misses;
+  return static_cast<i64>(entries_.size());
 }
 
 }  // namespace vuv

@@ -1,7 +1,9 @@
 // Parallel sweep executor: runs the cells of a SweepSpec on a thread pool,
 // sharing one CompileCache (each app|variant built once, each unique (app,
-// variant, config) compiled once) while giving every simulation its own
-// copy of the unit's initial Workspace.
+// variant, schedule_signature) compiled once, so the memory modes and
+// memory-hierarchy design points of a core share one compile) while giving
+// every simulation its own copy of the unit's initial Workspace and its own
+// memory system.
 // Results are cached per cell and returned in spec order regardless of
 // completion order, so a jobs=8 sweep reports byte-identically to jobs=1.
 #pragma once

@@ -13,6 +13,7 @@ namespace vuv {
 struct VliwWord {
   Cycle cycle = 0;               // issue cycle relative to block entry
   std::vector<i32> ops;          // indices into the block's op list
+  bool operator==(const VliwWord& o) const = default;
 };
 
 struct BlockSchedule {
@@ -20,6 +21,7 @@ struct BlockSchedule {
   Cycle length = 0;              // schedule length (last issue cycle + 1)
   std::vector<Cycle> issue;      // per-op issue cycle
   std::vector<i32> sched_vl;     // vector length the scheduler assumed per op
+  bool operator==(const BlockSchedule& o) const = default;
 };
 
 struct ScheduledProgram {

@@ -74,7 +74,7 @@ class FuTracker {
 Cpu::Cpu(const ScheduledProgram& sp, const MachineConfig& cfg, MainMemory& mem,
          const ExecImage& image)
     : sp_(sp), cfg_(cfg), mem_(mem), image_(image) {
-  VUV_CHECK(compile_signature(cfg) == compile_signature(sp.cfg),
+  VUV_CHECK(schedule_signature(cfg) == schedule_signature(sp.cfg),
             "simulation config is incompatible with the compiled program");
 }
 

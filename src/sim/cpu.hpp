@@ -68,12 +68,13 @@ struct SimResult {
 class Cpu {
  public:
   /// Simulate `sp` replaying `image`, which must come from
-  /// lower_image(sp, cfg') with cfg' compile-compatible with `cfg`. `cfg`
-  /// must have the same compile_signature as `sp.cfg` (checked); it may
-  /// differ in `name` and `mem.perfect`, which is how the runner's
-  /// CompileCache shares one compiled program and image between the
-  /// realistic and perfect-memory runs. `sp`, `cfg`, `mem` and `image` must
-  /// outlive the Cpu.
+  /// lower_image(sp, cfg') with the same schedule_signature as `cfg`. `cfg`
+  /// must have the same schedule_signature as `sp.cfg` (checked); it may
+  /// differ in `name` and anything in `mem`, since the compiler assumes
+  /// every access hits and the memory system is built from `cfg` at run
+  /// time. That is how the runner's CompileCache shares one compiled program
+  /// and image between every memory mode and memory-hierarchy design point
+  /// of a core. `sp`, `cfg`, `mem` and `image` must outlive the Cpu.
   Cpu(const ScheduledProgram& sp, const MachineConfig& cfg, MainMemory& mem,
       const ExecImage& image);
 

@@ -90,6 +90,8 @@ struct DecodedOp {
   // Dynamic µops = uop_fixed + uop_per_vl * (effective VL).
   i32 uop_fixed = 0;
   i32 uop_per_vl = 0;
+
+  bool operator==(const DecodedOp& o) const = default;
 };
 
 /// One VLIW instruction: a contiguous op range plus its static per-class
@@ -99,12 +101,14 @@ struct DecodedWord {
   u32 op_begin = 0, op_end = 0;
   u8 n_fu = 0;
   std::array<std::pair<u8, u8>, 6> fu_need{};  // (FuClass, count)
+  bool operator==(const DecodedWord& o) const = default;
 };
 
 struct DecodedBlock {
   u32 word_begin = 0, word_end = 0;
   i32 fallthrough = -1;
   u8 region = 0;
+  bool operator==(const DecodedBlock& o) const = default;
 };
 
 struct ExecImage {
@@ -116,11 +120,12 @@ struct ExecImage {
   u32 n_slots = 0;
   u32 slot_vl = 0, slot_vs = 0;
   i32 max_word_ops = 0;            // widest word (sizes writeback buffers)
+  bool operator==(const ExecImage& o) const = default;
 };
 
-/// Lower a scheduled program for simulation under `cfg`. `cfg` must be
-/// compile-compatible with sp.cfg (same compile_signature); chaining and
-/// register-file sizes are baked into the image, `mem.perfect` is not.
+/// Lower a scheduled program for simulation under `cfg`. `cfg` must have
+/// the same schedule_signature as sp.cfg; chaining, register-file sizes and
+/// functional-unit counts are baked into the image, no `mem` field is.
 ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg);
 
 }  // namespace vuv

@@ -91,43 +91,69 @@ MachineConfig MachineConfig::table2_by_name(const std::string& name) {
               valid + ")");
 }
 
+namespace {
+
+void add(std::string& s, i64 v) {
+  s += std::to_string(v);
+  s += ',';
+}
+
+// The three field groups of both signatures, in compile_signature's order.
+void add_core(std::string& s, const MachineConfig& c) {
+  add(s, static_cast<i64>(c.isa));
+  add(s, c.issue_width);
+  add(s, c.int_regs);
+  add(s, c.simd_regs);
+  add(s, c.vec_regs);
+  add(s, c.acc_regs);
+  add(s, c.int_units);
+  add(s, c.simd_units);
+  add(s, c.vec_units);
+  add(s, c.branch_units);
+  add(s, c.l1_ports);
+  add(s, c.l2_ports);
+  add(s, c.lanes);
+  add(s, c.l2_port_elems);
+  add(s, c.max_vl);
+}
+
+void add_hierarchy(std::string& s, const MemParams& m) {
+  add(s, m.l1_size);
+  add(s, m.l1_assoc);
+  add(s, m.l2_size);
+  add(s, m.l2_assoc);
+  add(s, m.l2_banks);
+  add(s, m.l3_size);
+  add(s, m.l3_assoc);
+  add(s, m.line_size);
+  add(s, m.lat_l1);
+  add(s, m.lat_l2);
+  add(s, m.lat_l3);
+  add(s, m.lat_mem);
+}
+
+void add_policies(std::string& s, const MachineConfig& c) {
+  add(s, c.mem_disambiguation);
+  add(s, c.stride_aware_sched);
+  add(s, c.chaining);
+}
+
+}  // namespace
+
 std::string compile_signature(const MachineConfig& c) {
   std::string s;
   s.reserve(128);
-  auto add = [&s](i64 v) {
-    s += std::to_string(v);
-    s += ',';
-  };
-  add(static_cast<i64>(c.isa));
-  add(c.issue_width);
-  add(c.int_regs);
-  add(c.simd_regs);
-  add(c.vec_regs);
-  add(c.acc_regs);
-  add(c.int_units);
-  add(c.simd_units);
-  add(c.vec_units);
-  add(c.branch_units);
-  add(c.l1_ports);
-  add(c.l2_ports);
-  add(c.lanes);
-  add(c.l2_port_elems);
-  add(c.max_vl);
-  add(c.mem.l1_size);
-  add(c.mem.l1_assoc);
-  add(c.mem.l2_size);
-  add(c.mem.l2_assoc);
-  add(c.mem.l2_banks);
-  add(c.mem.l3_size);
-  add(c.mem.l3_assoc);
-  add(c.mem.line_size);
-  add(c.mem.lat_l1);
-  add(c.mem.lat_l2);
-  add(c.mem.lat_l3);
-  add(c.mem.lat_mem);
-  add(c.mem_disambiguation);
-  add(c.stride_aware_sched);
-  add(c.chaining);
+  add_core(s, c);
+  add_hierarchy(s, c.mem);
+  add_policies(s, c);
+  return s;
+}
+
+std::string schedule_signature(const MachineConfig& c) {
+  std::string s;
+  s.reserve(128);
+  add_core(s, c);
+  add_policies(s, c);
   return s;
 }
 

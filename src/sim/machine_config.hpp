@@ -93,13 +93,24 @@ struct MachineConfig {
   static MachineConfig table2_by_name(const std::string& name);
 };
 
-/// Stable textual key of every field that influences compilation (register
-/// allocation and scheduling). Two configurations with equal signatures
-/// produce identical ScheduledPrograms for the same input program; `name`
-/// and `mem.perfect` are deliberately excluded (the former is a label, the
-/// latter only affects the run-time memory system), which is what lets the
-/// runner's CompileCache share one compile between the realistic and
-/// perfect-memory runs of a configuration.
+/// Stable textual identity of a configuration: every field that influences
+/// a simulated result, i.e. schedule_signature's fields plus the twelve
+/// memory-hierarchy parameters of `mem`. Only `name` (a label) and
+/// `mem.perfect` (a per-cell memory mode) are left out, so a configuration's
+/// realistic and perfect-memory cells share one identity. The Runner's
+/// result map, the on-disk result cache and CompileCache's hit/miss
+/// accounting key on it; the string is persisted in result-cache keys, so
+/// its field order is fixed.
 std::string compile_signature(const MachineConfig& cfg);
+
+/// Stable textual key of exactly the fields the compile layers read:
+/// allocate_registers, schedule_program and lower_image. It is
+/// compile_signature without `mem`: the compiler schedules every memory
+/// operation as if it hits (paper §3.3/§4.2) and the processor stalls at
+/// run time instead, so configurations that differ only in their memory
+/// hierarchy get identical ScheduledPrograms and ExecImages. CompileCache
+/// compiles once per app|variant|schedule_signature, and Cpu accepts a
+/// compiled program for any configuration with the same schedule_signature.
+std::string schedule_signature(const MachineConfig& cfg);
 
 }  // namespace vuv

@@ -45,6 +45,17 @@ TEST(RefGen, FromTextSkipsCommentsAndRejectsMalformedInput) {
   // (an empty program would make a broken counterexample replay as "ok").
   EXPECT_THROW(from_text("vuvgen 1\nvariant musimd\nseed oops\n"), Error);
   EXPECT_THROW(from_text("not a corpus file"), Error);
+  // A register token must be a class letter and exactly one non-negative
+  // i32: no digits, trailing junk, a sign or overflow throws Error (not a
+  // standard-library exception, and not a truncated or wrapped id).
+  auto with_dst = [](const std::string& dst) {
+    return "vuvgen 1\nvariant scalar\nseed 0\natom straight\n  op add " +
+           dst + " r1 r2 - 0 0\nend\n";
+  };
+  EXPECT_NO_THROW(from_text(with_dst("r5")));
+  for (const char* bad : {"r", "r5x", "r-1", "r+1", "r4294967301",
+                          "r99999999999999999999", "x5"})
+    EXPECT_THROW(from_text(with_dst(bad)), Error) << bad;
 }
 
 TEST(RefGen, MaterializesValidCompilablePrograms) {

@@ -172,5 +172,69 @@ TEST(Runner, SharedSnapshotMatchesRunAppAndStaysPristine) {
             0);
 }
 
+// Configurations that differ only in the memory hierarchy share one
+// compile: the schedule assumes every access hits, and each cell stalls
+// under its own memory system. Four workers race over 2 apps x 2 cores x 3
+// hierarchies x both memory modes; each result equals a private run_app.
+TEST(Runner, MemoryDesignPointsShareOneSchedule) {
+  MemParams small;
+  small.l1_size = 4 * 1024;
+  small.l2_size = 32 * 1024;
+  small.l3_size = 64 * 1024;
+  MemParams banked;
+  banked.l1_assoc = 1;
+  banked.l2_banks = 4;
+  banked.l2_assoc = 2;
+  MemParams slow;
+  slow.lat_l2 = 9;
+  slow.lat_l3 = 30;
+  slow.lat_mem = 800;
+
+  std::vector<MachineConfig> configs;
+  for (const MachineConfig& core :
+       {MachineConfig::musimd(2), MachineConfig::vector2(2)}) {
+    i32 point = 0;
+    for (const MemParams& mem : {small, banked, slow}) {
+      MachineConfig cfg = core;
+      cfg.mem = mem;
+      cfg.name += "/m";
+      cfg.name += std::to_string(point++);
+      configs.push_back(cfg);
+    }
+  }
+  const SweepSpec spec =
+      SweepSpec::matrix({App::kGsmDec, App::kJpegDec}, configs, {false, true});
+  ASSERT_EQ(spec.size(), 24u);
+
+  RunnerOptions ropts;
+  ropts.jobs = 4;
+  Runner runner(ropts);
+  for (const CellOutcome& o : runner.run(spec)) {
+    SCOPED_TRACE(o.cell.key());
+    const AppResult direct = run_app(o.cell.app, o.cell.cfg, o.cell.perfect);
+    EXPECT_TRUE(o.result.verified) << o.result.verify_error;
+    EXPECT_EQ(o.result.verified, direct.verified);
+    EXPECT_EQ(o.result.config, direct.config);
+    expect_identical(o.result.sim, direct.sim);
+  }
+
+  // Hits and misses count configuration identities (12, each shared by
+  // its two memory modes); compiles count schedules: 2 apps x 2 cores.
+  const CompileCache::Stats stats = runner.compile_cache().stats();
+  EXPECT_EQ(stats.misses, 12);
+  EXPECT_EQ(stats.hits, 12);
+  EXPECT_EQ(runner.compile_cache().compiled_programs(), 4);
+  obs::Registry& m = runner.metrics();
+  EXPECT_EQ(m.counter("compile_cache.misses").value(), 12);
+  EXPECT_EQ(m.counter("compile_cache.schedules").value(), 4);
+  EXPECT_EQ(m.histogram("compile_cache.build_us").count(), 4);
+
+  // The shared compile carries no requester's hierarchy.
+  const std::shared_ptr<const CompiledProgram> cp =
+      runner.compile_cache().get(App::kGsmDec, Variant::kMusimd, configs[0]);
+  EXPECT_EQ(compile_signature(cp->sp.cfg),
+            compile_signature(MachineConfig::musimd(2)));
+}
+
 }  // namespace
 }  // namespace vuv

@@ -162,6 +162,21 @@ TEST_F(ServeLoopback, ProgramModeRunsTheDifferentialOracle) {
   EXPECT_EQ(bad.code, ErrCode::kBadProgram);
   EXPECT_FALSE(bad.retriable);
   client.ping();  // connection still healthy
+
+  // So does a register token with no digits: the parse error must reach
+  // the session as a vuv::Error, not escape and terminate the daemon.
+  req.id = "prog-bad-reg";
+  req.program =
+      "vuvgen 1\n"
+      "variant musimd\n"
+      "seed 0\n"
+      "atom straight\n"
+      "  op add r r1 r2 - 0 0\n"
+      "end\n";
+  const SimRun bad_reg = client.sim(req);
+  EXPECT_FALSE(bad_reg.ok);
+  EXPECT_EQ(bad_reg.code, ErrCode::kBadProgram);
+  client.ping();
   client.bye();
 }
 

@@ -167,10 +167,14 @@ int main(int argc, char** argv) {
       cli::write_output(metrics_path,
                         [&](std::ostream& os) { runner.metrics().write_json(os); });
 
+    // Builds, not Stats::misses: those count configuration identities, and
+    // memory-hierarchy variants of one core share a build.
     const CompileCache::Stats cs = runner.compile_cache().stats();
+    const i64 compiled = runner.compile_cache().compiled_programs();
     std::cerr << "[vuv_sweep] " << outcomes.size() << " cells in "
-              << TextTable::num(wall_s) << "s; compile cache: " << cs.misses
-              << " compiled, " << cs.hits << " reused\n";
+              << TextTable::num(wall_s) << "s; compile cache: " << compiled
+              << " compiled, " << cs.hits + cs.misses - compiled
+              << " reused\n";
     if (serve::ResultCache* rc = runner.result_cache()) {
       const serve::ResultCache::Stats rs = rc->stats();
       std::cerr << "[vuv_sweep] result cache: " << rs.hits << " hit(s), "

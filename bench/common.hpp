@@ -12,15 +12,13 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 
+#include "../tools/cli.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
 #include "runner/runner.hpp"
-#include "serve/client.hpp"
 
 namespace vuv {
 namespace bench {
@@ -58,12 +56,21 @@ class BenchJson {
 };
 
 /// The process-wide runner every sweep in a bench binary shares: one
-/// compile cache, one thread pool. Worker count: $VUV_JOBS if set, else
-/// hardware concurrency.
+/// compile cache, one thread pool. Worker count: $VUV_JOBS if set (a
+/// positive integer, as vuv_sweep --jobs takes), else hardware concurrency.
+/// A malformed value exits with status 2 rather than throwing, because
+/// ~BenchJson calls back in here while the stack unwinds.
 inline Runner& shared_runner() {
   static Runner runner([] {
     RunnerOptions opts;
-    if (const char* jobs = std::getenv("VUV_JOBS")) opts.jobs = std::atoi(jobs);
+    if (const char* jobs = std::getenv("VUV_JOBS")) {
+      try {
+        opts.jobs = cli::parse_positive_int("VUV_JOBS", jobs);
+      } catch (const Error& e) {
+        std::cerr << e.what() << "\n";
+        std::exit(2);
+      }
+    }
     return opts;
   }());
   return runner;
@@ -102,45 +109,19 @@ inline BenchJson::~BenchJson() {
 /// contract: results are verified (aborting the bench on a mismatch) and
 /// every distinct cell records its cycle count into the bench's JSON, in
 /// first-query order — deterministic regardless of the worker count.
-///
-/// When $VUV_SERVE_PORT is set, every query is routed through a vuv_serve
-/// daemon on localhost (host override: $VUV_SERVE_HOST) instead of the
-/// in-process Runner. The wire carries the complete AppResult per cell
-/// (docs/PROTOCOL.md), so the recorded metrics cannot differ between the
-/// two paths unless the server does — `scripts/run_benches.sh --serve`
-/// asserts exactly that, byte for byte, over the BENCH json.
 class Sweep {
  public:
   explicit Sweep(BenchJson& json) : json_(&json) {}
 
   /// Kick off a whole matrix concurrently before the serial query phase.
-  /// In serve mode the wire-addressable part is one batched sim request
-  /// streaming every cell; ablation configs (ad-hoc parameter edits under
-  /// a "<base>/<edit>" name, not in the Table-2 registry) cannot be named
-  /// in a protocol request and stay on the local Runner.
   void prefetch(const std::vector<App>& apps,
                 const std::vector<MachineConfig>& cfgs, bool perfect) {
-    if (serve_port()) {
-      std::vector<MachineConfig> wire, local;
-      for (const MachineConfig& c : cfgs)
-        (wire_addressable(c) ? wire : local).push_back(c);
-      if (!wire.empty()) fetch_served(apps, wire, perfect);
-      if (!local.empty())
-        shared_runner().prefetch(SweepSpec::matrix(apps, local, {perfect}));
-      return;
-    }
     shared_runner().prefetch(SweepSpec::matrix(apps, cfgs, {perfect}));
   }
-  /// Explicit-variant cells have no batch request shape on the wire; in
-  /// serve mode get() fetches them on demand instead.
-  void prefetch(const SweepSpec& spec) {
-    if (!serve_port()) shared_runner().prefetch(spec);
-  }
+  void prefetch(const SweepSpec& spec) { shared_runner().prefetch(spec); }
 
   const AppResult& get(App app, const MachineConfig& cfg, bool perfect) {
-    const AppResult& r = serve_port() && wire_addressable(cfg)
-                             ? served(app, cfg, perfect)
-                             : shared_runner().get(app, cfg, perfect);
+    const AppResult& r = shared_runner().get(app, cfg, perfect);
     if (!r.verified) {
       std::cerr << "VERIFICATION FAILED: " << r.app << " on " << cfg.name << ": "
                 << r.verify_error << "\n";
@@ -162,79 +143,8 @@ class Sweep {
            (perfect ? "p" : "r");
   }
 
-  static int serve_port() {
-    static const int port = [] {
-      const char* p = std::getenv("VUV_SERVE_PORT");
-      return p ? std::atoi(p) : 0;
-    }();
-    return port;
-  }
-
-  /// The protocol addresses configs by Table-2 registry name; renamed
-  /// ablation variants fall back to the local Runner. (Benches that edit
-  /// parameters always rename — and if one ever didn't, the served result
-  /// would diverge and run_benches.sh --serve's byte comparison fails.)
-  static bool wire_addressable(const MachineConfig& cfg) {
-    static const std::set<std::string> names = [] {
-      std::set<std::string> s;
-      for (const MachineConfig& c : MachineConfig::all_table2())
-        s.insert(c.name);
-      return s;
-    }();
-    return names.count(cfg.name) != 0;
-  }
-
-  const AppResult& served(App app, const MachineConfig& cfg, bool perfect) {
-    const std::string key = cell_key(app, cfg, perfect);
-    auto it = served_.find(key);
-    if (it == served_.end()) {
-      fetch_served({app}, {cfg}, perfect);
-      it = served_.find(key);
-    }
-    if (it == served_.end()) {
-      std::cerr << "bench serve mode: daemon never streamed cell " << key
-                << "\n";
-      std::abort();
-    }
-    return it->second;
-  }
-
-  /// One sim request for the whole matrix over a single long-lived
-  /// connection; aborts the bench on any protocol or transport failure
-  /// (benches must never silently fall back to local results).
-  void fetch_served(const std::vector<App>& apps,
-                    const std::vector<MachineConfig>& cfgs, bool perfect) {
-    try {
-      if (!client_) {
-        const char* host = std::getenv("VUV_SERVE_HOST");
-        client_ = std::make_unique<serve::Client>(host ? host : "127.0.0.1",
-                                                  serve_port());
-      }
-      serve::SimRequestNames req;
-      req.id = "bench-" + std::to_string(++served_requests_);
-      for (App a : apps) req.apps.emplace_back(app_name(a));
-      for (const MachineConfig& c : cfgs) req.configs.push_back(c.name);
-      req.perfect = perfect;
-      const serve::SimRun run = client_->sim(req);
-      if (!run.ok) {
-        std::cerr << "bench serve mode: request " << req.id
-                  << " failed: " << run.error << "\n";
-        std::abort();
-      }
-      for (const CellOutcome& o : run.outcomes)
-        served_.emplace(cell_key(o.cell.app, o.cell.cfg, o.cell.perfect),
-                        o.result);
-    } catch (const std::exception& e) {
-      std::cerr << "bench serve mode: " << e.what() << "\n";
-      std::abort();
-    }
-  }
-
   std::set<std::string> recorded_;
   BenchJson* json_ = nullptr;
-  std::map<std::string, AppResult> served_;  // wire results, by cell key
-  std::unique_ptr<serve::Client> client_;
-  int served_requests_ = 0;
 };
 
 inline double ratio(Cycle a, Cycle b) {

@@ -10,26 +10,11 @@
 # snapshot (written by BenchJson from the shared Runner's registry).
 # Exits non-zero if any bench binary fails or fails to produce its JSON.
 #
-# Usage: run_benches.sh [--serve] [bench_target...]
+# Usage: run_benches.sh [bench_target...]
 #   With no arguments, runs every bench_* executable found in the working
 #   directory. Normally invoked via `cmake --build build --target bench`,
 #   which passes the configured target list and sets VUV_BENCH_DIR.
-#
-#   --serve spawns a vuv_serve daemon on an ephemeral port and routes every
-#   bench's sweep queries through it (bench/common.hpp honours
-#   VUV_SERVE_PORT), after first running the bench directly into a scratch
-#   directory; the served BENCH_<name>.json must be byte-identical to the
-#   direct one or the script fails. bench_micro_components measures host
-#   wall time, not simulated cycles, so it is exempt from the comparison
-#   and always runs directly. The daemon binary is ./vuv_serve (override:
-#   $VUV_SERVE_BIN).
 set -euo pipefail
-
-serve_mode=0
-if [ "${1:-}" = "--serve" ]; then
-  serve_mode=1
-  shift
-fi
 
 out_dir="${VUV_BENCH_DIR:-$PWD}"
 benches=("$@")
@@ -67,90 +52,6 @@ add_wall_seconds() {
   mv "$tmp" "$json"
 }
 
-# --serve: spawn the daemon, learn its ephemeral port from the READY line,
-# and keep a scratch directory for the direct-mode reference JSONs.
-serve_pid=""
-serve_dir=""
-serve_port=""
-
-# True while something is listening on 127.0.0.1:$1 (bash /dev/tcp probe —
-# no dependency on netstat/ss, which CI images may lack).
-port_in_use() {
-  (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null || return 1
-  exec 3>&- 3<&-
-  return 0
-}
-
-# Tear the daemon down on EVERY exit path — normal exit, set -e failures,
-# and signals (bash skips the EXIT trap when killed by an untrapped
-# signal, so INT/TERM/HUP are trapped explicitly below). After the kill,
-# assert the port is actually released: a daemon that survives its TERM
-# (and the KILL fallback) would poison every later CI job on this runner.
-serve_cleanup() {
-  local status=0
-  if [ -n "$serve_pid" ]; then
-    kill -TERM "$serve_pid" 2>/dev/null || true
-    for _ in $(seq 1 50); do
-      kill -0 "$serve_pid" 2>/dev/null || break
-      sleep 0.1
-    done
-    if kill -0 "$serve_pid" 2>/dev/null; then
-      echo "run_benches.sh: vuv_serve (pid $serve_pid) ignored SIGTERM; sending SIGKILL" >&2
-      kill -KILL "$serve_pid" 2>/dev/null || true
-      status=1
-    fi
-    wait "$serve_pid" 2>/dev/null || true
-    serve_pid=""
-    if [ -n "$serve_port" ] && port_in_use "$serve_port"; then
-      echo "run_benches.sh: port $serve_port still in use after daemon teardown" >&2
-      status=1
-    fi
-  fi
-  [ -n "$serve_dir" ] && rm -rf "$serve_dir"
-  serve_dir=""
-  return "$status"
-}
-# EXIT trap: preserve the script's own exit status unless teardown itself
-# failed (leaked daemon / busy port), which must fail the run.
-serve_exit_trap() {
-  local status=$?
-  serve_cleanup || status=1
-  exit "$status"
-}
-serve_on_signal() {
-  trap - INT TERM HUP EXIT
-  serve_cleanup || true
-  exit 130
-}
-if [ "$serve_mode" -eq 1 ]; then
-  serve_bin="${VUV_SERVE_BIN:-./vuv_serve}"
-  if [ ! -x "$serve_bin" ]; then
-    echo "run_benches.sh: --serve needs $serve_bin (set VUV_SERVE_BIN)" >&2
-    exit 1
-  fi
-  serve_dir="$(mktemp -d)"
-  trap serve_exit_trap EXIT
-  trap serve_on_signal INT TERM HUP
-  "$serve_bin" --queue-limit 256 \
-    > "$serve_dir/ready.txt" 2> "$serve_dir/serve.log" &
-  serve_pid=$!
-  for _ in $(seq 1 50); do
-    serve_port="$(sed -n 's/^VUV_SERVE READY port=//p' "$serve_dir/ready.txt")"
-    [ -n "$serve_port" ] && break
-    if ! kill -0 "$serve_pid" 2>/dev/null; then
-      echo "run_benches.sh: vuv_serve died on startup" >&2
-      cat "$serve_dir/serve.log" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
-  if [ -z "$serve_port" ]; then
-    echo "run_benches.sh: vuv_serve printed no READY line" >&2
-    exit 1
-  fi
-  echo "run_benches.sh: routing benches through vuv_serve on port $serve_port"
-fi
-
 # Sum every "stalls.<cause>.<cell>" metric value in a BENCH json.
 sum_stalls() {
   local json="$1" cause="$2"
@@ -185,21 +86,11 @@ for b in "${benches[@]}"; do
   # stale metrics as fresh output.
   rm -f "$out_dir/BENCH_$name.json"
   bench_ok=1
-  serve_check="$serve_mode"
-  [ "$name" = "micro_components" ] && serve_check=0
-  if [ "$serve_check" -eq 1 ]; then
-    # Direct-mode reference run first (untimed, quiet): the served run
-    # below must reproduce this JSON byte for byte.
-    rm -f "$serve_dir/BENCH_$name.json"
-    VUV_BENCH_DIR="$serve_dir" "$exe" > /dev/null || bench_ok=0
-  fi
   start_ns=$(now_ns)
   if [ "$name" = "micro_components" ]; then
     # google-benchmark emits its own JSON natively.
     "$exe" --benchmark_out="$out_dir/BENCH_$name.json" \
            --benchmark_out_format=json || bench_ok=0
-  elif [ "$serve_check" -eq 1 ]; then
-    VUV_BENCH_DIR="$out_dir" VUV_SERVE_PORT="$serve_port" "$exe" || bench_ok=0
   else
     VUV_BENCH_DIR="$out_dir" "$exe" || bench_ok=0
   fi
@@ -211,13 +102,6 @@ for b in "${benches[@]}"; do
     status=1
   elif [ ! -s "$out_dir/BENCH_$name.json" ]; then
     echo "run_benches.sh: $b did not produce BENCH_$name.json" >&2
-    status=1
-  elif [ "$serve_check" -eq 1 ] && \
-       ! cmp -s "$out_dir/BENCH_$name.json" "$serve_dir/BENCH_$name.json"; then
-    # Compared before add_wall_seconds mutates the served copy: at this
-    # point both files are the writers' raw output.
-    echo "run_benches.sh: served BENCH_$name.json differs from direct mode" >&2
-    diff "$serve_dir/BENCH_$name.json" "$out_dir/BENCH_$name.json" >&2 || true
     status=1
   else
     add_wall_seconds "$out_dir/BENCH_$name.json" "$wall"

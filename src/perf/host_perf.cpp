@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "sim/kernels/kernels.hpp"
 
 namespace vuv {
 
@@ -23,7 +22,6 @@ HostPerf measure_host_perf(const SweepSpec& spec, RunnerOptions opts,
   HostPerf perf;
   perf.jobs = runner.jobs();
   perf.cells = static_cast<i64>(outcomes.size());
-  perf.simd_dispatch = simd::level_name(simd::active_level());
   perf.wall_seconds = wall;
   // Workload-class accumulators in Variant enum order.
   const Variant kVariants[] = {Variant::kScalar, Variant::kMusimd,
@@ -71,7 +69,6 @@ void write_host_perf_json(std::ostream& os, const HostPerf& perf,
   os << "{\n  \"bench\": \"" << name << "\",\n"
      << "  \"jobs\": " << perf.jobs << ",\n"
      << "  \"cells\": " << perf.cells << ",\n"
-     << "  \"simd_dispatch\": \"" << perf.simd_dispatch << "\",\n"
      << "  \"wall_seconds\": " << num(perf.wall_seconds) << ",\n"
      << "  \"simulated_cycles\": " << perf.simulated_cycles << ",\n"
      << "  \"simulated_cycles_per_second\": " << num(perf.cycles_per_second)

@@ -21,9 +21,8 @@ struct CellPerf {
 };
 
 /// Host throughput aggregated over one workload class (the code variant a
-/// cell runs: scalar, musimd or vector). The vector classes are where the
-/// host-SIMD kernels apply, so the per-class split is what shows whether a
-/// kernel-dispatch change moved the needle.
+/// cell runs: scalar, musimd or vector), so a change to one kind of
+/// execution shows in its own class.
 struct ClassPerf {
   std::string name;                // variant_name(...)
   i64 cells = 0;
@@ -35,7 +34,6 @@ struct ClassPerf {
 struct HostPerf {
   i32 jobs = 0;
   i64 cells = 0;
-  std::string simd_dispatch;       // simd::level_name of the kernel level used
   double wall_seconds = 0.0;       // whole-matrix host wall time
   i64 simulated_cycles = 0;        // sum over cells
   double cycles_per_second = 0.0;  // simulated cycles per host wall second

@@ -118,29 +118,18 @@ i32 fu_count(const MachineConfig& cfg, FuClass f) {
 }
 
 DecodedOp lower_op(const Operation& op, const SlotLayout& lay,
-                   const MachineConfig& cfg, const simd::KernelTable& kt) {
+                   const MachineConfig& cfg) {
   const OpInfo& info = op.info();
   DecodedOp d;
   d.kind = kind_of(op.op);
   d.op = op.op;
-  if (d.kind == ExecKind::kVecPacked) {
+  // Whether a packed op takes the shift/shuffle form is a property of its
+  // opcode, hoisted here out of packed_eval. A vector op's form follows
+  // from its base opcode, which execution switches on anyway.
+  if (d.kind == ExecKind::kVecPacked)
     d.vbase = vector_base_op(op.op);
-    // Whether the sub-operation takes the shift/shuffle form is a property
-    // of the base opcode, hoisted here out of packed_eval — and so is the
-    // host kernel implementing it, bound once from the active dispatch
-    // level so the replay loop makes a single indirect call per op.
-    d.packed_shift = op_info(d.vbase).flags.has_imm || d.vbase == Opcode::M_PSHUFH;
-    if (d.packed_shift)
-      d.kern_shift = kt.shift[static_cast<size_t>(simd::packed_index(d.vbase))];
-    else
-      d.kern_bin = kt.binary[static_cast<size_t>(simd::packed_index(d.vbase))];
-  } else if (d.kind == ExecKind::kPacked) {
+  else if (d.kind == ExecKind::kPacked)
     d.packed_shift = info.flags.has_imm || op.op == Opcode::M_PSHUFH;
-  } else if (d.kind == ExecKind::kVsadacc) {
-    d.kern_acc = kt.vsadacc;
-  } else if (d.kind == ExecKind::kVmach) {
-    d.kern_acc = kt.vmach;
-  }
   set_mem_shape(d);
   set_uop_shape(d);
   d.nsrc = info.nsrc;
@@ -203,7 +192,6 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
             "schedule does not cover the program");
 
   const SlotLayout lay(cfg);
-  const simd::KernelTable& kt = simd::active_table();
   ExecImage im;
   im.entry = prog.entry;
   im.n_slots = lay.n_slots;
@@ -228,7 +216,7 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
       i32 fu_need[7] = {0, 0, 0, 0, 0, 0, 0};
       for (i32 oi : w.ops) {
         const DecodedOp d =
-            lower_op(blk.ops[static_cast<size_t>(oi)], lay, cfg, kt);
+            lower_op(blk.ops[static_cast<size_t>(oi)], lay, cfg);
         ++fu_need[d.fu];
         im.ops.push_back(d);
       }

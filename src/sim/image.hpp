@@ -26,7 +26,6 @@
 #pragma once
 
 #include "sched/schedule.hpp"
-#include "sim/kernels/kernels.hpp"
 
 namespace vuv {
 
@@ -61,7 +60,7 @@ struct DecodedOp {
   ExecKind kind = ExecKind::kHalt;
   Opcode op = Opcode::HALT;    // original opcode (inner dispatch)
   Opcode vbase = Opcode::HALT; // kVecPacked: µSIMD base opcode
-  bool packed_shift = false;   // kPacked/kVecPacked: shift/shuffle form
+  bool packed_shift = false;   // kPacked: shift/shuffle form
   u8 mem_bytes = 0;            // kLoad/kStore*: access width
   bool mem_sign = false;       // kLoad: sign-extend
   u8 nsrc = 0;
@@ -69,12 +68,6 @@ struct DecodedOp {
   Reg dst;                     // invalid when the op writes no register
   i64 imm = 0;
   i32 target_block = -1;
-
-  // ---- prebound host-SIMD kernels (simd::active_table() at lowering time;
-  // value semantics are dispatch-level-invariant, see kernels.hpp) --------
-  simd::BinKernel kern_bin = nullptr;     // kVecPacked, binary form
-  simd::ShiftKernel kern_shift = nullptr; // kVecPacked, shift/shuffle form
-  simd::AccKernel kern_acc = nullptr;     // kVsadacc / kVmach
 
   // ---- issue timing -------------------------------------------------------
   u8 fu = 0;                   // FuClass the op occupies (0 = none)

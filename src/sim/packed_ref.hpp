@@ -1,19 +1,15 @@
-// Portable reference semantics of the µSIMD packed operations on one
-// 64-bit word — the single definition of what every packed op means.
+// Semantics of the µSIMD packed operations on one 64-bit word — the single
+// definition of what every packed op means in the simulator.
 //
-// Three consumers share these functions:
-//   - sim/exec.cpp evaluates scalar M_* ops (one word per op) through the
-//     runtime-dispatched forms below;
-//   - sim/kernels/scalar.cpp instantiates them with a compile-time opcode
-//     per kernel, so the big switch folds away and the per-element loop
-//     the replay executes is branch-free straight-line code;
-//   - sim/kernels/avx2.cpp (and neon.cpp) are verified against them: a
-//     host-SIMD kernel is correct iff it is bit-identical to these
-//     functions for every input (tests/simd_parity_test.cpp).
+// sim/exec.cpp is the only consumer, in two forms:
+//   - scalar M_* ops evaluate one word per op with a runtime opcode;
+//   - vector V_* ops switch once on the base opcode and instantiate these
+//     functions with a compile-time opcode over the VL elements, so the big
+//     switch folds away inside the element loop.
 //
 // Everything here is pure value computation: no state, no memory, no
-// timing. Host kernels can therefore never change simulated timing — see
-// DESIGN.md, "Host SIMD lane kernels".
+// timing. src/ref/interp.cpp implements the same semantics independently,
+// and tests/simd_parity_test.cpp diffs the two on every opcode and VL.
 #pragma once
 
 #include "common/bits.hpp"
@@ -264,9 +260,7 @@ inline u64 packed_shift_ref(Opcode op, u64 a, i64 imm) {
 
 /// Sign-preserving 48-bit wrap for accumulator lanes (192-bit accumulator =
 /// 8 x 24-bit byte lanes or 4 x 48-bit halfword lanes; we model both in
-/// 48-bit host lanes). Every value stored into an accumulator lane is the
-/// image of this function, an invariant the SIMD accumulator kernels rely
-/// on: wrapping once after summing mod 2^64 equals wrapping every step.
+/// 48-bit host lanes).
 inline i64 acc_wrap(i64 v) { return (v << 16) >> 16; }
 
 }  // namespace vuv

@@ -2,6 +2,8 @@
 // pipeline on small programs.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 #include "ir/builder.hpp"
 #include "mem/mainmem.hpp"
@@ -37,6 +39,20 @@ TEST(SimBasic, ArithmeticChain) {
   b.std_(m, base, 0, out.group);
   run_program(b.take(), MachineConfig::vliw(2), ws.mem());
   EXPECT_EQ(ws.read_u64(out), 30u);
+}
+
+// |INT64_MIN| wraps to INT64_MIN, as the reference interpreter defines it;
+// a signed negation there is undefined behaviour (caught under UBSan).
+TEST(SimBasic, AbsOfInt64MinWraps) {
+  Workspace ws;
+  Buffer out = ws.alloc(16);
+  ProgramBuilder b;
+  Reg base = b.movi(out.addr);
+  b.std_(b.abs_(b.movi(std::numeric_limits<i64>::min())), base, 0, out.group);
+  b.std_(b.abs_(b.movi(-5)), base, 8, out.group);
+  run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  EXPECT_EQ(ws.read_u64(out), u64{1} << 63);
+  EXPECT_EQ(ws.read_u64(out, 8), 5u);
 }
 
 TEST(SimBasic, LoopSumsIntegers) {

@@ -14,7 +14,6 @@
 
 #include "cli.hpp"
 #include "perf/host_perf.hpp"
-#include "sim/kernels/kernels.hpp"
 
 using namespace vuv;
 
@@ -32,11 +31,6 @@ const cli::Usage kUsage{
          "opt-in imgpipe app never skews the gate)"},
         {"--configs a,b,...", "Table-2 configuration names (default: all ten)"},
         {"--jobs N", "worker threads (default: hardware concurrency)"},
-        {"--simd LEVEL",
-         "host kernel level: scalar|avx2|neon|auto (default: the\n"
-         "VUV_SIMD environment variable, itself defaulting to\n"
-         "auto = best available). The level used is recorded as\n"
-         "\"simd_dispatch\" in the JSON."},
         {"--perfect", "measure the perfect-memory matrix instead"},
         {"--out PATH",
          "output JSON path (default: PERF_host.json; - = stdout)"},
@@ -86,8 +80,6 @@ int main(int argc, char** argv) {
           cfgs.push_back(MachineConfig::table2_by_name(n));
       } else if (arg == "--jobs") {
         opts.jobs = cli::parse_positive_int(arg, value());
-      } else if (arg == "--simd") {
-        simd::set_level(simd::level_by_name(value()));
       } else if (arg == "--perfect") {
         perfect = true;
       } else if (arg == "--out") {
@@ -120,7 +112,7 @@ int main(int argc, char** argv) {
       cli::write_output(metrics_path,
                         [&](std::ostream& os) { os << metrics_json; });
     std::cerr << "[vuv_perf] " << perf.cells << " cells on " << perf.jobs
-              << " worker(s), " << perf.simd_dispatch << " kernels: "
+              << " worker(s): "
               << perf.wall_seconds << "s wall, " << perf.simulated_cycles
               << " simulated cycles (" << perf.cycles_per_second / 1e6
               << " Mcycles/s)\n";

@@ -13,7 +13,7 @@
 //
 //   VUV_SERVE READY port=<port>
 //
-// Scripts (scripts/run_benches.sh --serve, the ctest soak driver) parse
+// Scripts (scripts/serve_smoke.sh, the ctest soak driver) parse
 // that line to discover the ephemeral port; everything else goes to
 // stderr. SIGINT/SIGTERM drain in-flight requests and exit 0.
 #include <csignal>

@@ -64,7 +64,7 @@ void BM_SimulateGsmDec(benchmark::State& state) {
     BuiltApp app = build_app(App::kGsmDec, Variant::kMusimd);
     const ScheduledProgram sp = compile(std::move(app.program), MachineConfig::musimd(2));
     const ExecImage image = lower_image(sp, sp.cfg);
-    Cpu cpu(sp, sp.cfg, app.ws->mem(), image);
+    Cpu cpu(sp.cfg, app.ws->mem(), image);
     benchmark::DoNotOptimize(cpu.run());
   }
 }

@@ -56,8 +56,8 @@ class BenchJson {
 };
 
 /// The process-wide runner every sweep in a bench binary shares: one
-/// compile cache, one thread pool. Worker count: $VUV_JOBS if set (a
-/// positive integer, as vuv_sweep --jobs takes), else hardware concurrency.
+/// compile cache, one thread pool. Worker count: $VUV_JOBS if set (1 to
+/// cli::kMaxJobs, as vuv_sweep --jobs takes), else hardware concurrency.
 /// A malformed value exits with status 2 rather than throwing, because
 /// ~BenchJson calls back in here while the stack unwinds.
 inline Runner& shared_runner() {
@@ -65,7 +65,7 @@ inline Runner& shared_runner() {
     RunnerOptions opts;
     if (const char* jobs = std::getenv("VUV_JOBS")) {
       try {
-        opts.jobs = cli::parse_positive_int("VUV_JOBS", jobs);
+        opts.jobs = cli::parse_jobs("VUV_JOBS", jobs);
       } catch (const Error& e) {
         std::cerr << e.what() << "\n";
         std::exit(2);

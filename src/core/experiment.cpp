@@ -4,9 +4,8 @@ namespace vuv {
 
 AppResult simulate_app(const std::string& name,
                        const BuiltApp::Verifier& verify, Workspace& ws,
-                       const ScheduledProgram& sp, const ExecImage& image,
-                       const MachineConfig& cfg) {
-  Cpu cpu(sp, cfg, ws.mem(), image);
+                       const ExecImage& image, const MachineConfig& cfg) {
+  Cpu cpu(cfg, ws.mem(), image);
   // Steady-state working set (see MemorySystem::warm and DESIGN.md).
   cpu.warm(0, ws.used());
   AppResult res;
@@ -28,10 +27,10 @@ AppResult run_built(BuiltApp& built, MachineConfig cfg, bool perfect_memory) {
   VUV_CHECK(!built.program.blocks.empty(),
             "run_built consumes the program: rebuild the app to run again");
   cfg.mem.perfect = perfect_memory;
-  const ScheduledProgram sp = compile(std::move(built.program), cfg);
+  const ExecImage image =
+      lower_image(compile(std::move(built.program), cfg), cfg);
   built.program = Program{};  // moved-from: make the single-use state explicit
-  const ExecImage image = lower_image(sp, cfg);
-  return simulate_app(built.name, built.verify, *built.ws, sp, image, cfg);
+  return simulate_app(built.name, built.verify, *built.ws, image, cfg);
 }
 
 AppResult run_app(App app, MachineConfig cfg, bool perfect_memory) {

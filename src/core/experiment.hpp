@@ -35,17 +35,16 @@ AppResult run_built(BuiltApp& built, MachineConfig cfg,
                     bool perfect_memory = false);
 
 /// The simulate step every entry point shares, the sweep Runner's included:
-/// replay `image` (the lowering of `sp`) under `cfg` against `ws` in place,
-/// with `ws`'s working set pre-warmed into the L3, then check the outputs
-/// with `verify`. `ws` must hold the app's initial memory: the app's own
-/// workspace (run_built), or a copy of its unit's built snapshot (the
-/// Runner, which builds each app|variant once for all of its cells; a copy
-/// costs only the bytes written, see MainMemory). `cfg` must match sp.cfg
-/// up to `name` and `mem`, i.e. have the same schedule_signature (see Cpu);
-/// the memory system is built from `cfg`.
+/// replay `image` under `cfg` against `ws` in place, with `ws`'s working set
+/// pre-warmed into the L3, then check the outputs with `verify`. `ws` must
+/// hold the app's initial memory: the app's own workspace (run_built), or a
+/// copy of its unit's built snapshot (the Runner, which builds each
+/// app|variant once for all of its cells; a copy costs only the bytes
+/// written, see MainMemory). `cfg` must have the schedule_signature the
+/// image was lowered under; it may differ in `name` and `mem` (see Cpu),
+/// and the memory system is built from it.
 AppResult simulate_app(const std::string& name,
                        const BuiltApp::Verifier& verify, Workspace& ws,
-                       const ScheduledProgram& sp, const ExecImage& image,
-                       const MachineConfig& cfg);
+                       const ExecImage& image, const MachineConfig& cfg);
 
 }  // namespace vuv

@@ -49,7 +49,7 @@ DiffReport diff_program(const Program& prog, const MainMemory& init_mem,
   try {
     sp = compile(Program(prog), cfg, copts);
     const ExecImage image = lower_image(sp, sp.cfg);
-    Cpu cpu(sp, sp.cfg, sim_mem, image);
+    Cpu cpu(sp.cfg, sim_mem, image);
     cpu.warm(0, warm_bytes);
     rep.sim = cpu.run();
   } catch (const InternalError&) {

@@ -82,7 +82,7 @@ Runner::Entry Runner::enqueue(const SweepCell& cell) {
       const BuiltUnit& unit = *cp->unit;
       Workspace ws = unit.ws;  // the cell's own copy of the initial memory
       outcome->result =
-          simulate_app(unit.name, unit.verify, ws, cp->sp, cp->image, sim_cfg);
+          simulate_app(unit.name, unit.verify, ws, cp->image, sim_cfg);
       outcome->wall_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - t0)
@@ -116,13 +116,26 @@ Runner::Entry Runner::enqueue(const SweepCell& cell) {
 }
 
 std::vector<CellOutcome> Runner::run(const SweepSpec& spec) {
+  // Cells left per compile: a compile is released once the last cell of
+  // the spec that uses it has finished, so host memory follows the work in
+  // flight rather than the whole sweep.
+  std::vector<std::string> keys;
+  keys.reserve(spec.cells.size());
+  std::map<std::string, i64> remaining;
   std::vector<Entry> entries;
   entries.reserve(spec.cells.size());
-  for (const SweepCell& cell : spec.cells) entries.push_back(enqueue(cell));
+  for (const SweepCell& cell : spec.cells) {
+    keys.push_back(CompileCache::key(cell.app, cell.variant, cell.cfg));
+    ++remaining[keys.back()];
+    entries.push_back(enqueue(cell));
+  }
 
   std::vector<CellOutcome> out;
   out.reserve(entries.size());
-  for (Entry& e : entries) out.push_back(*e.get());  // spec order
+  for (size_t i = 0; i < entries.size(); ++i) {
+    out.push_back(*entries[i].get());  // spec order
+    if (--remaining[keys[i]] == 0) compile_cache_.release(keys[i]);
+  }
   return out;
 }
 

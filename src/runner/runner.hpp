@@ -1,11 +1,14 @@
 // Parallel sweep executor: runs the cells of a SweepSpec on a thread pool,
 // sharing one CompileCache (each app|variant built once, each unique (app,
-// variant, schedule_signature) compiled once, so the memory modes and
-// memory-hierarchy design points of a core share one compile) while giving
-// every simulation its own copy of the unit's initial Workspace and its own
-// memory system.
+// variant, schedule_signature) compiled once while resident, so the memory
+// modes and memory-hierarchy design points of a core share one compile)
+// while giving every simulation its own copy of the unit's initial
+// Workspace and its own memory system.
 // Results are cached per cell and returned in spec order regardless of
 // completion order, so a jobs=8 sweep reports byte-identically to jobs=1.
+// Only run() releases compiles (after a spec's last cell that uses each);
+// prefetch(), get() and get_for() keep every compile resident, because
+// they cannot know whether a later request reuses it.
 #pragma once
 
 #include <chrono>
@@ -60,12 +63,15 @@ class Runner {
 
   /// Execute every cell (deduplicated against the result cache) and return
   /// outcomes in spec order. Simulation/verification errors propagate as
-  /// exceptions once all submitted work has settled.
+  /// exceptions once all submitted work has settled. Each compile is
+  /// released from the compile cache once the spec's last cell that uses
+  /// it has finished (at one worker, right after that cell; at N workers
+  /// up to the out-of-order window later); a later request recompiles it.
   std::vector<CellOutcome> run(const SweepSpec& spec);
 
   /// Enqueue every cell without waiting. A later run()/get() picks up the
   /// in-flight or finished results; bench drivers use this to overlap the
-  /// whole matrix before querying it serially.
+  /// whole matrix before querying it serially. Compiles stay resident.
   void prefetch(const SweepSpec& spec);
 
   /// Single-cell prefetch: enqueue without waiting (the serve layer's

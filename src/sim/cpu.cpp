@@ -71,18 +71,15 @@ class FuTracker {
 
 }  // namespace
 
-Cpu::Cpu(const ScheduledProgram& sp, const MachineConfig& cfg, MainMemory& mem,
-         const ExecImage& image)
-    : sp_(sp), cfg_(cfg), mem_(mem), image_(image) {
-  VUV_CHECK(schedule_signature(cfg) == schedule_signature(sp.cfg),
+Cpu::Cpu(const MachineConfig& cfg, MainMemory& mem, const ExecImage& image)
+    : cfg_(cfg), mem_(mem), image_(image) {
+  VUV_CHECK(schedule_signature(cfg) == image.signature,
             "simulation config is incompatible with the compiled program");
 }
 
 SimResult Cpu::run(Cycle max_cycles) {
   const MachineConfig& cfg = cfg_;
-  const Program& prog = sp_.prog;
   const ExecImage& im = image_;
-  VUV_CHECK(prog.allocated, "program must be register-allocated");
 
   CpuState st;
   st.iregs.assign(static_cast<size_t>(cfg.int_regs), 0);
@@ -110,9 +107,9 @@ SimResult Cpu::run(Cycle max_cycles) {
 
   SimResult res;
   res.config_name = cfg.name;
-  res.regions.resize(std::max<size_t>(prog.region_names.size(), 1));
-  for (size_t i = 0; i < prog.region_names.size(); ++i)
-    res.regions[i].name = prog.region_names[i];
+  res.regions.resize(std::max<size_t>(im.region_names.size(), 1));
+  for (size_t i = 0; i < im.region_names.size(); ++i)
+    res.regions[i].name = im.region_names[i];
 
   i32 block = im.entry;
   Cycle now = 0;
@@ -143,7 +140,7 @@ SimResult Cpu::run(Cycle max_cycles) {
       // Track which constraint *bound* the issue time: the first one to
       // reach the final maximum (strict >, so ties keep the earlier
       // winner — deterministic, and `issue` is exactly the old max()).
-      u32 bind_slot = kNoSlot;  // scoreboard slot that bound, if any
+      Slot bind_slot = kNoSlot; // scoreboard slot that bound, if any
       u32 bind_op = w.op_begin; // op whose source bound (the stalled consumer)
       u8 bind_fu = 0;           // FuClass that bound (0 = a slot bound)
       for (u32 oi = w.op_begin; oi != w.op_end; ++oi) {
@@ -291,14 +288,14 @@ SimResult Cpu::run(Cycle max_cycles) {
 SimResult run_program(Program prog, const MachineConfig& cfg, MainMemory& mem) {
   const ScheduledProgram sp = compile(std::move(prog), cfg);
   const ExecImage image = lower_image(sp, sp.cfg);
-  Cpu cpu(sp, sp.cfg, mem, image);
+  Cpu cpu(sp.cfg, mem, image);
   return cpu.run();
 }
 
 SimResult run_program(Program prog, const MachineConfig& cfg, Workspace& ws) {
   const ScheduledProgram sp = compile(std::move(prog), cfg);
   const ExecImage image = lower_image(sp, sp.cfg);
-  Cpu cpu(sp, sp.cfg, ws.mem(), image);
+  Cpu cpu(sp.cfg, ws.mem(), image);
   cpu.warm(0, ws.used());
   return cpu.run();
 }

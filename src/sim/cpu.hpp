@@ -67,16 +67,22 @@ struct SimResult {
 
 class Cpu {
  public:
-  /// Simulate `sp` replaying `image`, which must come from
-  /// lower_image(sp, cfg') with the same schedule_signature as `cfg`. `cfg`
-  /// must have the same schedule_signature as `sp.cfg` (checked); it may
-  /// differ in `name` and anything in `mem`, since the compiler assumes
-  /// every access hits and the memory system is built from `cfg` at run
-  /// time. That is how the runner's CompileCache shares one compiled program
-  /// and image between every memory mode and memory-hierarchy design point
-  /// of a core. `sp`, `cfg`, `mem` and `image` must outlive the Cpu.
-  Cpu(const ScheduledProgram& sp, const MachineConfig& cfg, MainMemory& mem,
-      const ExecImage& image);
+  /// Replay `image` under `cfg`. The image is all replay reads: the
+  /// schedule it was lowered from may be gone. `cfg` must have the
+  /// schedule_signature the image was lowered under (image.signature,
+  /// checked); it may differ in `name` and anything in `mem`, since the
+  /// compiler assumes every access hits and the memory system is built from
+  /// `cfg` at run time. That is how the runner's CompileCache shares one
+  /// image between every memory mode and memory-hierarchy design point of
+  /// a core. `cfg`, `mem` and `image` must outlive the Cpu.
+  Cpu(const MachineConfig& cfg, MainMemory& mem, const ExecImage& image);
+
+  /// As above; `image` must be a lowering of `sp`, which is not read. Kept
+  /// only because the benchmark harness's traced pass (vuvbench) calls it;
+  /// delete it once that pass moves to the three-argument form.
+  Cpu(const ScheduledProgram& /*sp*/, const MachineConfig& cfg,
+      MainMemory& mem, const ExecImage& image)
+      : Cpu(cfg, mem, image) {}
 
   /// Pre-fill the L3 with an address range before running (see
   /// MemorySystem::warm).
@@ -100,7 +106,6 @@ class Cpu {
   const ExecImage& image() const { return image_; }
 
  private:
-  const ScheduledProgram& sp_;
   const MachineConfig& cfg_;  // simulation-time configuration
   MainMemory& mem_;
   const ExecImage& image_;

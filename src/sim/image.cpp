@@ -1,5 +1,7 @@
 #include "sim/image.hpp"
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace vuv {
@@ -16,6 +18,10 @@ struct SlotLayout {
     const u32 ns = static_cast<u32>(std::max(cfg.simd_regs, 1));
     const u32 nv = static_cast<u32>(std::max(cfg.vec_regs, 1));
     const u32 na = static_cast<u32>(std::max(cfg.acc_regs, 1));
+    // DecodedOp stores slots as Slot and register indices as i16.
+    if (std::max({ni, ns, nv, na}) >
+        static_cast<u32>(std::numeric_limits<i16>::max()))
+      throw InternalError("register file too large for the execution image");
     off_int = 0;
     off_simd = off_int + ni;
     off_vfull = off_simd + ns;
@@ -24,6 +30,10 @@ struct SlotLayout {
     slot_vl = off_vchain + nv;
     slot_vs = slot_vl + 1;
     n_slots = slot_vs + 1;
+    if (n_slots >= kNoSlot)
+      throw InternalError("scoreboard needs " + std::to_string(n_slots) +
+                          " slots; the execution image holds fewer than " +
+                          std::to_string(kNoSlot));
   }
 };
 
@@ -88,11 +98,11 @@ void set_mem_shape(DecodedOp& d) {
 void set_uop_shape(DecodedOp& d) {
   const Opcode o = d.op;
   if (o >= Opcode::M_PADDB && o <= Opcode::M_PSHUFH) {
-    d.uop_fixed = lanes_of(o);
+    d.uop_fixed = static_cast<u8>(lanes_of(o));
     return;
   }
   if (o >= Opcode::V_PADDB && o <= Opcode::V_PSHUFH) {
-    d.uop_per_vl = lanes_of(o);
+    d.uop_per_vl = static_cast<u8>(lanes_of(o));
     return;
   }
   switch (o) {
@@ -133,7 +143,8 @@ DecodedOp lower_op(const Operation& op, const SlotLayout& lay,
   set_mem_shape(d);
   set_uop_shape(d);
   d.nsrc = info.nsrc;
-  for (size_t s = 0; s < d.src.size(); ++s) d.src[s] = op.src[s].id;
+  for (size_t s = 0; s < d.src.size(); ++s)
+    d.src[s] = static_cast<i16>(op.src[s].id);
   d.dst = op.dst;
   d.imm = op.imm;
   d.target_block = op.target_block;
@@ -148,35 +159,39 @@ DecodedOp lower_op(const Operation& op, const SlotLayout& lay,
 
   // Read-dependency scoreboard slots, chaining resolved statically: a
   // vector consumer of a vector register waits only for the chain point.
+  // SlotLayout bounds every slot below kNoSlot.
+  const auto slot = [](u32 s) { return static_cast<Slot>(s); };
   for (u8 s = 0; s < info.nsrc; ++s) {
     const Reg r = op.src[s];
     if (!r.valid()) continue;
     const u32 id = static_cast<u32>(r.id);
     switch (r.cls) {
-      case RegClass::kInt: d.ready[d.n_ready++] = lay.off_int + id; break;
-      case RegClass::kSimd: d.ready[d.n_ready++] = lay.off_simd + id; break;
-      case RegClass::kVreg:
-        d.ready[d.n_ready++] = (info.flags.vector && cfg.chaining)
-                                   ? lay.off_vchain + id
-                                   : lay.off_vfull + id;
+      case RegClass::kInt: d.ready[d.n_ready++] = slot(lay.off_int + id); break;
+      case RegClass::kSimd:
+        d.ready[d.n_ready++] = slot(lay.off_simd + id);
         break;
-      case RegClass::kAcc: d.ready[d.n_ready++] = lay.off_acc + id; break;
+      case RegClass::kVreg:
+        d.ready[d.n_ready++] = slot((info.flags.vector && cfg.chaining)
+                                        ? lay.off_vchain + id
+                                        : lay.off_vfull + id);
+        break;
+      case RegClass::kAcc: d.ready[d.n_ready++] = slot(lay.off_acc + id); break;
       default: break;
     }
   }
-  if (info.flags.reads_vl) d.ready[d.n_ready++] = lay.slot_vl;
-  if (info.flags.reads_vs) d.ready[d.n_ready++] = lay.slot_vs;
+  if (info.flags.reads_vl) d.ready[d.n_ready++] = slot(lay.slot_vl);
+  if (info.flags.reads_vs) d.ready[d.n_ready++] = slot(lay.slot_vs);
 
   if (op.dst.valid()) {
     const u32 id = static_cast<u32>(op.dst.id);
     switch (op.dst.cls) {
-      case RegClass::kInt: d.wb_full = lay.off_int + id; break;
-      case RegClass::kSimd: d.wb_full = lay.off_simd + id; break;
+      case RegClass::kInt: d.wb_full = slot(lay.off_int + id); break;
+      case RegClass::kSimd: d.wb_full = slot(lay.off_simd + id); break;
       case RegClass::kVreg:
-        d.wb_full = lay.off_vfull + id;
-        d.wb_chain = lay.off_vchain + id;
+        d.wb_full = slot(lay.off_vfull + id);
+        d.wb_chain = slot(lay.off_vchain + id);
         break;
-      case RegClass::kAcc: d.wb_full = lay.off_acc + id; break;
+      case RegClass::kAcc: d.wb_full = slot(lay.off_acc + id); break;
       default: break;
     }
   }
@@ -193,10 +208,12 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
 
   const SlotLayout lay(cfg);
   ExecImage im;
+  im.region_names = prog.region_names;
+  im.signature = schedule_signature(cfg);
   im.entry = prog.entry;
   im.n_slots = lay.n_slots;
-  im.slot_vl = lay.slot_vl;
-  im.slot_vs = lay.slot_vs;
+  im.slot_vl = static_cast<Slot>(lay.slot_vl);
+  im.slot_vs = static_cast<Slot>(lay.slot_vs);
   im.blocks.reserve(prog.blocks.size());
   im.words.reserve(static_cast<size_t>(sp.static_words()));
   im.ops.reserve(static_cast<size_t>(prog.static_ops()));

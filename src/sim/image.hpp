@@ -50,42 +50,43 @@ enum class ExecKind : u8 {
   kSetVs,      // SETVSI/SETVS
 };
 
-inline constexpr u32 kNoSlot = static_cast<u32>(-1);
+/// Index into the flat per-Cpu scoreboard. lower_image rejects a layout
+/// of kNoSlot or more slots; the largest Table-2 layout has 261 (uSIMD-8w).
+using Slot = u16;
+inline constexpr Slot kNoSlot = 0xffff;
 
 /// One operation, fully resolved for replay. Register indices are pre-cast
 /// physical indices into the register file their opcode implies; scoreboard
-/// slots are indices into the flat per-Cpu ready-time array.
+/// slots are indices into the flat per-Cpu ready-time array. Fields are
+/// ordered by size so an op packs into 64 bytes: an image holds one per
+/// static operation, and the replay loop streams through them.
 struct DecodedOp {
-  // ---- execution ----------------------------------------------------------
-  ExecKind kind = ExecKind::kHalt;
-  Opcode op = Opcode::HALT;    // original opcode (inner dispatch)
-  Opcode vbase = Opcode::HALT; // kVecPacked: µSIMD base opcode
-  bool packed_shift = false;   // kPacked: shift/shuffle form
-  u8 mem_bytes = 0;            // kLoad/kStore*: access width
-  bool mem_sign = false;       // kLoad: sign-extend
-  u8 nsrc = 0;
-  std::array<i32, 3> src{{-1, -1, -1}};
-  Reg dst;                     // invalid when the op writes no register
   i64 imm = 0;
   i32 target_block = -1;
-
-  // ---- issue timing -------------------------------------------------------
+  Reg dst;                     // invalid when the op writes no register
+  std::array<i16, 3> src{{-1, -1, -1}};
+  std::array<Slot, 5> ready{}; // scoreboard slots gating issue (srcs, VL, VS)
+  Slot wb_full = kNoSlot;      // slot receiving the full-result ready time
+  Slot wb_chain = kNoSlot;     // vreg dests: slot receiving the chain point
+  Opcode op = Opcode::HALT;    // original opcode (inner dispatch)
+  Opcode vbase = Opcode::HALT; // kVecPacked: µSIMD base opcode
+  ExecKind kind = ExecKind::kHalt;
+  u8 mem_bytes = 0;            // kLoad/kStore*: access width
+  u8 nsrc = 0;
   u8 fu = 0;                   // FuClass the op occupies (0 = none)
   u8 latency = 0;
+  u8 n_ready = 0;              // read-dependency slots in `ready`
+  bool packed_shift = false;   // kPacked: shift/shuffle form
+  bool mem_sign = false;       // kLoad: sign-extend
   bool is_vector = false;      // executes VL sub-operations
-  u8 n_ready = 0;              // read-dependency slots below
-  std::array<u32, 5> ready{};  // scoreboard slots gating issue (srcs, VL, VS)
-  u32 wb_full = kNoSlot;       // slot receiving the full-result ready time
-  u32 wb_chain = kNoSlot;      // vreg dests: slot receiving the chain point
   bool sets_vl = false, sets_vs = false;
-
-  // ---- statistics ---------------------------------------------------------
-  // Dynamic µops = uop_fixed + uop_per_vl * (effective VL).
-  i32 uop_fixed = 0;
-  i32 uop_per_vl = 0;
+  // Dynamic µops = uop_fixed + uop_per_vl * (effective VL); at most 8 each.
+  u8 uop_fixed = 0;
+  u8 uop_per_vl = 0;
 
   bool operator==(const DecodedOp& o) const = default;
 };
+static_assert(sizeof(DecodedOp) <= 64, "DecodedOp must fit in 64 bytes");
 
 /// One VLIW instruction: a contiguous op range plus its static per-class
 /// functional-unit demand (at most one entry per FuClass).
@@ -104,14 +105,18 @@ struct DecodedBlock {
   bool operator==(const DecodedBlock& o) const = default;
 };
 
+/// Everything replay reads: once a program is lowered, its ScheduledProgram
+/// can be dropped (the runner's CompileCache keeps only this).
 struct ExecImage {
   std::vector<DecodedOp> ops;      // all ops, block-major, word/issue order
   std::vector<DecodedWord> words;  // all words, block-major
   std::vector<DecodedBlock> blocks;
+  std::vector<std::string> region_names;  // the program's, by region id
+  std::string signature;  // schedule_signature of the lowering config
   i32 entry = 0;
   // Flat scoreboard layout (ready-time slots).
   u32 n_slots = 0;
-  u32 slot_vl = 0, slot_vs = 0;
+  Slot slot_vl = 0, slot_vs = 0;
   i32 max_word_ops = 0;            // widest word (sizes writeback buffers)
   bool operator==(const ExecImage& o) const = default;
 };
@@ -119,6 +124,8 @@ struct ExecImage {
 /// Lower a scheduled program for simulation under `cfg`. `cfg` must have
 /// the same schedule_signature as sp.cfg; chaining, register-file sizes and
 /// functional-unit counts are baked into the image, no `mem` field is.
+/// Throws InternalError when the register files need kNoSlot or more
+/// scoreboard slots, or a file holds more registers than an i16 indexes.
 ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg);
 
 }  // namespace vuv

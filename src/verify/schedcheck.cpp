@@ -732,6 +732,10 @@ DiagReport check_image(const ScheduledProgram& sp, const ExecImage& image,
     return out;
   }
   if (image.entry != sp.prog.entry) diag(-1, "entry block differs");
+  if (image.region_names != sp.prog.region_names)
+    diag(-1, "region names differ");
+  if (image.signature != schedule_signature(sp.cfg))
+    diag(-1, "schedule signature differs from the schedule's configuration");
 
   u32 expect_word = 0;
   for (size_t b = 0; b < image.blocks.size(); ++b) {

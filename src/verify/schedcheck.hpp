@@ -24,7 +24,8 @@
 //   phys-out-of-range      physical register id outside the config's file
 //   regalloc-interference  two overlapping live intervals share a phys reg
 //   image-mismatch         the predecoded image disagrees with the schedule
-//                          (op order, word boundaries, per-word FU demand)
+//                          (op order, word boundaries, per-word FU demand,
+//                          region names, schedule signature)
 #pragma once
 
 #include "sched/schedule.hpp"
@@ -46,7 +47,8 @@ DiagReport check_schedule(const ScheduledProgram& sp, const Program* source,
                           const SchedCheckOptions& opts = {});
 
 /// Check that `image` is a faithful lowering of `sp` (op order, word
-/// boundaries, per-word functional-unit demand).
+/// boundaries, per-word functional-unit demand, and the region names and
+/// schedule signature replay reads in place of the schedule).
 DiagReport check_image(const ScheduledProgram& sp, const ExecImage& image,
                        const SchedCheckOptions& opts = {});
 

@@ -54,8 +54,7 @@ TEST(Determinism, SharedCompileMatchesPrivateCompile) {
       cache.get(app, variant, cfg);
   const auto via_cache = [&cp](const MachineConfig& c) {
     Workspace ws = cp->unit->ws;
-    return simulate_app(cp->unit->name, cp->unit->verify, ws, cp->sp,
-                        cp->image, c);
+    return simulate_app(cp->unit->name, cp->unit->verify, ws, cp->image, c);
   };
   const AppResult via_cache_r = via_cache(cfg);
   const AppResult via_cache_p = via_cache(perfect_cfg);

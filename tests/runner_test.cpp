@@ -1,7 +1,8 @@
 // Tests for the parallel sweep-runner subsystem: serial/parallel parity
 // (identical results and identical report bytes), compile-cache hit/miss
-// accounting (each (app, variant, config) compiled exactly once), result
-// caching, and spec-order reporting.
+// accounting (each (app, variant, config) compiled once while resident),
+// releasing compiles after their last cell, result caching, and spec-order
+// reporting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -229,11 +230,65 @@ TEST(Runner, MemoryDesignPointsShareOneSchedule) {
   EXPECT_EQ(m.counter("compile_cache.schedules").value(), 4);
   EXPECT_EQ(m.histogram("compile_cache.build_us").count(), 4);
 
-  // The shared compile carries no requester's hierarchy.
+  // The shared compile carries no requester's hierarchy: it stores no
+  // configuration at all, only the schedule signature it was lowered under.
   const std::shared_ptr<const CompiledProgram> cp =
       runner.compile_cache().get(App::kGsmDec, Variant::kMusimd, configs[0]);
-  EXPECT_EQ(compile_signature(cp->sp.cfg),
-            compile_signature(MachineConfig::musimd(2)));
+  EXPECT_EQ(cp->image.signature, schedule_signature(MachineConfig::musimd(2)));
+}
+
+// run() drops each compile once the spec's last cell that uses it has
+// finished: the compile-cache byte gauge returns to zero, and a compile
+// requested again is compiled again, to the same image. At one worker the
+// cells finish in spec order, so the cache never holds every image at once.
+TEST(Runner, RunReleasesEachCompileAfterItsLastCell) {
+  const SweepSpec spec = test_spec();  // 12 cells, 6 compiles
+  std::vector<AppResult> direct;
+  direct.reserve(spec.cells.size());
+  for (const SweepCell& c : spec.cells)
+    direct.push_back(run_app(c.app, c.cfg, c.perfect));
+
+  for (const i32 jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    RunnerOptions ropts;
+    ropts.jobs = jobs;
+    Runner runner(ropts);
+    CompileCache& cache = runner.compile_cache();
+    obs::Registry& m = runner.metrics();
+    obs::Gauge& bytes = m.gauge("compile_cache.bytes");
+    const SweepCell& first = spec.cells[0];
+    const std::shared_ptr<const CompiledProgram> held =
+        cache.get(first.app, first.variant, first.cfg);
+
+    const std::vector<CellOutcome> outcomes = runner.run(spec);
+    ASSERT_EQ(outcomes.size(), spec.size());
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      SCOPED_TRACE(outcomes[i].cell.key());
+      EXPECT_TRUE(outcomes[i].result.verified) << outcomes[i].result.verify_error;
+      EXPECT_EQ(outcomes[i].result.config, direct[i].config);
+      expect_identical(outcomes[i].result.sim, direct[i].sim);
+    }
+    EXPECT_EQ(bytes.value(), 0);
+    const i64 peak = bytes.max();
+    EXPECT_GT(peak, 0);
+    const i64 schedules = m.counter("compile_cache.schedules").value();
+    EXPECT_EQ(schedules, 6);
+    EXPECT_EQ(cache.compiled_programs(), 6);
+
+    const std::shared_ptr<const CompiledProgram> again =
+        cache.get(first.app, first.variant, first.cfg);
+    EXPECT_EQ(m.counter("compile_cache.schedules").value(), schedules + 1);
+    EXPECT_EQ(cache.compiled_programs(), 7);
+    EXPECT_NE(again.get(), held.get());
+    EXPECT_TRUE(again->image == held->image);
+    EXPECT_EQ(again->unit.get(), held->unit.get());  // units stay resident
+
+    if (jobs == 1) {
+      // Holding every image at once costs more than the run's peak.
+      for (const SweepCell& c : spec.cells) cache.get(c.app, c.variant, c.cfg);
+      EXPECT_LT(peak, bytes.value());
+    }
+  }
 }
 
 }  // namespace

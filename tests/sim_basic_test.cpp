@@ -241,5 +241,26 @@ TEST(SimBasic, HaltStopsExecution) {
   EXPECT_LT(r.cycles, 10);
 }
 
+// DecodedOp stores scoreboard slots as u16 and register indices as i16, so
+// lowering for register files that need kNoSlot or more slots (or one file
+// past the i16 range) must fail loudly instead of wrapping.
+TEST(SimBasic, LowerImageRejectsScoreboardBeyondSlotWidth) {
+  ProgramBuilder b;
+  b.add(b.movi(1), b.movi(2));
+  const Program prog = b.take();
+  // Slots: int + simd + 2 * vec (full value and chain point) + acc + VL/VS.
+  MachineConfig cfg = MachineConfig::vliw(2);
+  cfg.int_regs = 32000;
+  cfg.simd_regs = 1;
+  cfg.acc_regs = 1;
+  cfg.vec_regs = 16765;  // 65,534 slots: the largest layout that fits
+  EXPECT_EQ(lower_image(compile(prog, cfg), cfg).n_slots, kNoSlot - 1u);
+  cfg.vec_regs = 16766;  // 65,536 slots
+  EXPECT_THROW(lower_image(compile(prog, cfg), cfg), InternalError);
+  cfg.vec_regs = 1;
+  cfg.int_regs = 40000;  // few enough slots, but indices past i16
+  EXPECT_THROW(lower_image(compile(prog, cfg), cfg), InternalError);
+}
+
 }  // namespace
 }  // namespace vuv

@@ -364,6 +364,28 @@ TEST(SchedCheck, RejectsCorruptedImage) {
   EXPECT_GE(r.count_rule("image-mismatch"), 1) << r.summary();
 }
 
+// Replay reads region names and the schedule signature from the image in
+// place of the schedule, so the strict check covers both.
+TEST(SchedCheck, RejectsImageWithWrongRegionNames) {
+  const MachineConfig cfg = MachineConfig::vector2(2);
+  const ScheduledProgram sp = compile(sched_source(), cfg);
+  ExecImage img = lower_image(sp, cfg);
+  ASSERT_FALSE(img.region_names.empty());
+  img.region_names[0] += "_renamed";
+  const DiagReport r = check_image(sp, img);
+  EXPECT_GE(r.count_rule("image-mismatch"), 1) << r.summary();
+}
+
+TEST(SchedCheck, RejectsImageWithWrongSignature) {
+  const MachineConfig cfg = MachineConfig::vector2(2);
+  const ScheduledProgram sp = compile(sched_source(), cfg);
+  ExecImage img = lower_image(sp, cfg);
+  img.signature = schedule_signature(MachineConfig::vector2(4));
+  ASSERT_NE(img.signature, schedule_signature(cfg));
+  const DiagReport r = check_image(sp, img);
+  EXPECT_GE(r.count_rule("image-mismatch"), 1) << r.summary();
+}
+
 TEST(SchedCheck, StrictCompileRejectsLintError) {
   ProgramBuilder b;
   Reg c = b.movi(20);

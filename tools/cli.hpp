@@ -92,17 +92,37 @@ inline std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// Whole-string base-10 parse of `v` into `n`: false on empty input,
+/// trailing junk or overflow.
+inline bool parse_long(const std::string& v, long& n) {
+  errno = 0;
+  char* end = nullptr;
+  n = std::strtol(v.c_str(), &end, 10);
+  return !v.empty() && end == v.c_str() + v.size() && errno != ERANGE;
+}
+
 /// Parse a strictly positive integer option value. Rejects non-numeric
 /// input, trailing junk, zero and negative values with a clear error
 /// instead of the undefined/surprising behavior of a bare atoi/stoi.
 inline i32 parse_positive_int(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const long n = std::strtol(v.c_str(), &end, 10);
-  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE ||
-      n <= 0 || n > 1'000'000)
+  long n = 0;
+  if (!parse_long(v, n) || n <= 0 || n > 1'000'000)
     throw Error("invalid value for " + flag + ": '" + v +
                 "' (expected a positive integer)");
+  return static_cast<i32>(n);
+}
+
+/// Most worker threads a tool starts (--jobs, $VUV_JOBS). A pool starts
+/// all of its threads at once, so a mistyped count must fail as a usage
+/// error rather than ask the OS for that many threads.
+inline constexpr i32 kMaxJobs = 1024;
+
+/// Parse a worker-thread count: an integer in 1..kMaxJobs.
+inline i32 parse_jobs(const std::string& flag, const std::string& v) {
+  long n = 0;
+  if (!parse_long(v, n) || n < 1 || n > kMaxJobs)
+    throw Error("invalid value for " + flag + ": '" + v + "' (expected 1.." +
+                std::to_string(kMaxJobs) + ")");
   return static_cast<i32>(n);
 }
 

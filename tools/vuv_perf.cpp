@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
         for (const std::string& n : cli::split_csv(value()))
           cfgs.push_back(MachineConfig::table2_by_name(n));
       } else if (arg == "--jobs") {
-        opts.jobs = cli::parse_positive_int(arg, value());
+        opts.jobs = cli::parse_jobs(arg, value());
       } else if (arg == "--perfect") {
         perfect = true;
       } else if (arg == "--out") {

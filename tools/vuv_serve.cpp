@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
           if (opts.port > 65535) throw Error("--port must be <= 65535");
         }
       } else if (arg == "--jobs") {
-        opts.jobs = cli::parse_positive_int(arg, value());
+        opts.jobs = cli::parse_jobs(arg, value());
       } else if (arg == "--queue-limit") {
         opts.max_queued_cells = cli::parse_positive_int(arg, value());
       } else if (arg == "--idle-timeout") {

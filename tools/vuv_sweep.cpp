@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
         for (const std::string& n : cli::split_csv(value()))
           cfgs.push_back(MachineConfig::table2_by_name(n));
       } else if (arg == "--jobs") {
-        opts.jobs = cli::parse_positive_int(arg, value());
+        opts.jobs = cli::parse_jobs(arg, value());
       } else if (arg == "--cache-dir") {
         opts.cache_dir = value();
       } else if (arg == "--cache-entries") {

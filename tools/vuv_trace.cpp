@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     const ScheduledProgram sp = compile(std::move(built.program), cfg);
 
     const ExecImage image = lower_image(sp, sp.cfg);
-    Cpu cpu(sp, sp.cfg, built.ws->mem(), image);
+    Cpu cpu(sp.cfg, built.ws->mem(), image);
     cpu.warm(0, used);  // steady-state working set, like every other driver
     obs::ChromeTraceSink sink;
     StallProfile profile;

@@ -71,7 +71,7 @@ int main() {
   });
 
   const MachineConfig cfg = MachineConfig::vector1(2);
-  SimResult r = run_program(b.take(), cfg, ws.mem());
+  SimResult r = run_program(b.take(), cfg, ws);
 
   const auto want = reference_blend(ia, ib, kAlpha);
   const auto got = ws.read_u8(bo, kN);

@@ -48,6 +48,13 @@ App app_by_name(const std::string& name) {
   throw Error("unknown app: " + name + " (expected one of: " + valid + ")");
 }
 
+Variant variant_by_name(const std::string& name) {
+  for (Variant v : {Variant::kScalar, Variant::kMusimd, Variant::kVector})
+    if (name == variant_name(v)) return v;
+  throw Error("unknown variant: " + name +
+              " (expected one of: scalar musimd vector)");
+}
+
 Variant variant_for(IsaLevel lvl) {
   switch (lvl) {
     case IsaLevel::kScalar: return Variant::kScalar;

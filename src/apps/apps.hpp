@@ -39,6 +39,9 @@ std::vector<App> all_apps();
 /// Inverse of app_name. Throws Error naming the valid spellings.
 App app_by_name(const std::string& name);
 
+/// Inverse of variant_name. Throws Error naming the valid spellings.
+Variant variant_by_name(const std::string& name);
+
 /// The code variant a machine configuration runs (paper methodology: each
 /// architecture runs the best code its ISA supports).
 Variant variant_for(IsaLevel lvl);

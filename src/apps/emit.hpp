@@ -1,7 +1,8 @@
-// Shared IR-emission helpers used by the six applications: bit-stream
+// Shared IR-emission helpers used by the applications: bit-stream
 // writer/reader loops (the scalar entropy-coding regions), bit-size loops,
-// and the three DCT code generators (scalar / µSIMD / Vector-µSIMD), all
-// driven by the same DctTable so they are bit-exact with the golden codec.
+// the scalar border-padding loop, and the three DCT code generators (scalar
+// / µSIMD / Vector-µSIMD), all driven by the same DctTable so they are
+// bit-exact with the golden codec.
 #pragma once
 
 #include <functional>
@@ -62,6 +63,12 @@ Reg emit_magnitude_bits(ProgramBuilder& b, Reg v, Reg size);
 
 /// Decode magnitude bits back to a signed value.
 Reg emit_magnitude_decode(ProgramBuilder& b, Reg bits, Reg size);
+
+/// Scalar 1-pixel replicated border: copies the w x h byte plane at `src`
+/// into the (w+2) x (h+2) plane at `dst` and replicates its edge pixels
+/// (jpeg_dec's chroma upsample and imgpipe's Sobel stencil read it).
+void emit_pad_plane(ProgramBuilder& b, Reg src, u16 sg, Reg dst, u16 dg, i32 w,
+                    i32 h);
 
 // ---- DCT emitters ------------------------------------------------------------
 

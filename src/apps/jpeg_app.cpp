@@ -473,27 +473,6 @@ namespace {
 
 // ---- decoder-side kernels ----------------------------------------------------
 
-void emit_pad_plane(ProgramBuilder& b, Reg src, u16 sg, Reg dst, u16 dg, i32 w,
-                    i32 h) {
-  const i32 pw = w + 2;
-  // Interior + left/right border columns.
-  b.for_range(0, h, 1, [&](Reg yy) {
-    Reg srow = b.add(src, b.mul(yy, b.movi(w)));
-    Reg drow = b.add(dst, b.add(b.mul(yy, b.movi(pw)), b.movi(pw + 1)));
-    b.for_range(0, w, 1, [&](Reg xx) {
-      b.stb(b.ldbu(b.add(srow, xx), 0, sg), b.add(drow, xx), 0, dg);
-    });
-    b.stb(b.ldbu(srow, 0, sg), drow, -1, dg);
-    b.stb(b.ldbu(srow, w - 1, sg), drow, w, dg);
-  });
-  // Top and bottom replicated rows.
-  b.for_range(0, pw, 1, [&](Reg xx) {
-    b.stb(b.ldbu(b.add(dst, xx), pw, dg), b.add(dst, xx), 0, dg);
-    Reg last = b.add(dst, b.add(xx, b.movi((h + 1) * pw)));
-    b.stb(b.ldbu(last, -pw, dg), last, 0, dg);
-  });
-}
-
 struct UpsampleBufs {
   Reg pad;   // (w+2)x(h+2) padded chroma
   u16 pg;

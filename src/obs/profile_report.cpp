@@ -10,7 +10,6 @@ namespace vuv {
 namespace obs {
 
 std::vector<ProfileRow> profile_rows(const StallProfile& profile,
-                                     const Program& prog,
                                      const ExecImage& im) {
   std::vector<ProfileRow> rows;
   for (size_t bi = 0; bi < im.blocks.size(); ++bi) {
@@ -27,8 +26,8 @@ std::vector<ProfileRow> profile_rows(const StallProfile& profile,
         row.word = static_cast<i32>(wi - blk.word_begin);
         row.slot = static_cast<i32>(oi - w.op_begin);
         row.opcode = op_name(im.ops[oi].op);
-        if (blk.region < prog.region_names.size())
-          row.region = prog.region_names[blk.region];
+        if (blk.region < im.region_names.size())
+          row.region = im.region_names[blk.region];
         row.stalls = s;
         rows.push_back(std::move(row));
       }

@@ -32,7 +32,6 @@ struct ProfileRow {
 /// attributed stall descending (ties: op index ascending, so output is
 /// deterministic).
 std::vector<ProfileRow> profile_rows(const StallProfile& profile,
-                                     const Program& prog,
                                      const ExecImage& im);
 
 /// Identity of the simulated cell, echoed into the report header.

@@ -21,7 +21,7 @@ namespace obs {
 
 /// Receiver of per-cycle pipeline events. All times are simulated cycles.
 /// Within one track (stall state, one FU instance, the cache port) event
-/// start times are non-decreasing — the CI trace job validates this.
+/// start times are non-decreasing — a CI step validates this.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

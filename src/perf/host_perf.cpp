@@ -23,33 +23,15 @@ HostPerf measure_host_perf(const SweepSpec& spec, RunnerOptions opts,
   perf.jobs = runner.jobs();
   perf.cells = static_cast<i64>(outcomes.size());
   perf.wall_seconds = wall;
-  // Workload-class accumulators in Variant enum order.
-  const Variant kVariants[] = {Variant::kScalar, Variant::kMusimd,
-                               Variant::kVector};
-  ClassPerf by_class[3];
   for (const CellOutcome& o : outcomes) {
     if (!o.result.verified)
       throw SimError("host-perf cell failed verification: " + o.cell.key() +
                      ": " + o.result.verify_error);
     perf.simulated_cycles += o.result.sim.cycles;
     perf.cell.push_back({o.cell.key(), o.wall_ms, o.result.sim.cycles});
-    ClassPerf& c = by_class[static_cast<int>(o.cell.variant)];
-    ++c.cells;
-    c.wall_seconds += o.wall_ms / 1e3;
-    c.simulated_cycles += o.result.sim.cycles;
   }
   perf.cycles_per_second =
       wall > 0 ? static_cast<double>(perf.simulated_cycles) / wall : 0.0;
-  for (const Variant v : kVariants) {
-    ClassPerf& c = by_class[static_cast<int>(v)];
-    if (c.cells == 0) continue;
-    c.name = variant_name(v);
-    c.cycles_per_second =
-        c.wall_seconds > 0
-            ? static_cast<double>(c.simulated_cycles) / c.wall_seconds
-            : 0.0;
-    perf.workload_class.push_back(std::move(c));
-  }
   if (metrics_json) *metrics_json = runner.metrics().json();
   return perf;
 }
@@ -72,16 +54,7 @@ void write_host_perf_json(std::ostream& os, const HostPerf& perf,
      << "  \"wall_seconds\": " << num(perf.wall_seconds) << ",\n"
      << "  \"simulated_cycles\": " << perf.simulated_cycles << ",\n"
      << "  \"simulated_cycles_per_second\": " << num(perf.cycles_per_second)
-     << ",\n  \"workload_class\": [";
-  for (size_t i = 0; i < perf.workload_class.size(); ++i) {
-    const ClassPerf& c = perf.workload_class[i];
-    os << (i ? "," : "") << "\n    {\"name\": \"" << c.name
-       << "\", \"cells\": " << c.cells
-       << ", \"wall_seconds\": " << num(c.wall_seconds)
-       << ", \"cycles\": " << c.simulated_cycles
-       << ", \"cycles_per_second\": " << num(c.cycles_per_second) << "}";
-  }
-  os << "\n  ],\n  \"cell\": [";
+     << ",\n  \"cell\": [";
   for (size_t i = 0; i < perf.cell.size(); ++i) {
     const CellPerf& c = perf.cell[i];
     os << (i ? "," : "") << "\n    {\"key\": \"" << c.key

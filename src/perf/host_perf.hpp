@@ -20,24 +20,12 @@ struct CellPerf {
   Cycle cycles = 0;      // simulated cycles of the cell
 };
 
-/// Host throughput aggregated over one workload class (the code variant a
-/// cell runs: scalar, musimd or vector), so a change to one kind of
-/// execution shows in its own class.
-struct ClassPerf {
-  std::string name;                // variant_name(...)
-  i64 cells = 0;
-  double wall_seconds = 0.0;       // sum of cell simulate+verify wall time
-  i64 simulated_cycles = 0;
-  double cycles_per_second = 0.0;  // cycles / wall_seconds of this class
-};
-
 struct HostPerf {
   i32 jobs = 0;
   i64 cells = 0;
   double wall_seconds = 0.0;       // whole-matrix host wall time
   i64 simulated_cycles = 0;        // sum over cells
   double cycles_per_second = 0.0;  // simulated cycles per host wall second
-  std::vector<ClassPerf> workload_class;  // variant-enum order, present only
   std::vector<CellPerf> cell;
 };
 

@@ -562,13 +562,6 @@ Reg parse_reg(const std::string& s) {
   return Reg{cls, id};
 }
 
-Variant parse_variant(const std::string& s) {
-  if (s == "scalar") return Variant::kScalar;
-  if (s == "musimd") return Variant::kMusimd;
-  if (s == "vector") return Variant::kVector;
-  throw Error("gen: bad variant '" + s + "'");
-}
-
 }  // namespace
 
 std::string to_text(const GenProgram& p) {
@@ -620,7 +613,7 @@ GenProgram from_text(const std::string& text) {
     throw Error("gen: not a vuvgen-1 file");
   GenProgram p;
   if (expect("variant") != "variant") throw Error("gen: expected variant");
-  p.variant = parse_variant(expect("variant name"));
+  p.variant = variant_by_name(expect("variant name"));
   if (expect("seed") != "seed") throw Error("gen: expected seed");
   if (!(is >> p.seed)) throw Error("gen: malformed seed value");
 

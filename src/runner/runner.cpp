@@ -1,6 +1,7 @@
 #include "runner/runner.hpp"
 
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "serve/cache.hpp"
@@ -130,12 +131,20 @@ std::vector<CellOutcome> Runner::run(const SweepSpec& spec) {
     entries.push_back(enqueue(cell));
   }
 
+  // A failed cell does not end the wait: the rest still settle and release
+  // their compiles, and the first failure in spec order is rethrown last.
   std::vector<CellOutcome> out;
   out.reserve(entries.size());
+  std::exception_ptr failure;
   for (size_t i = 0; i < entries.size(); ++i) {
-    out.push_back(*entries[i].get());  // spec order
+    try {
+      out.push_back(*entries[i].get());  // spec order
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
     if (--remaining[keys[i]] == 0) compile_cache_.release(keys[i]);
   }
+  if (failure) std::rethrow_exception(failure);
   return out;
 }
 

@@ -58,8 +58,7 @@ struct CompileOptions {
 };
 
 /// Full pipeline: verify + ISA-level check + register allocation + schedule.
-ScheduledProgram compile(Program prog, const MachineConfig& cfg);
 ScheduledProgram compile(Program prog, const MachineConfig& cfg,
-                         const CompileOptions& opts);
+                         const CompileOptions& opts = {});
 
 }  // namespace vuv

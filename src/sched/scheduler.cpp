@@ -626,10 +626,6 @@ ScheduledProgram schedule_program(Program prog, const MachineConfig& cfg) {
   return out;
 }
 
-ScheduledProgram compile(Program prog, const MachineConfig& cfg) {
-  return compile(std::move(prog), cfg, CompileOptions{});
-}
-
 ScheduledProgram compile(Program prog, const MachineConfig& cfg,
                          const CompileOptions& opts) {
   if (opts.strict_verify) {

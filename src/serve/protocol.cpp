@@ -63,14 +63,6 @@ std::vector<std::string> opt_string_array(const Json& obj, const char* key) {
   return out;
 }
 
-Variant variant_by_name(const std::string& name) {
-  for (Variant v : {Variant::kScalar, Variant::kMusimd, Variant::kVector})
-    if (name == variant_name(v)) return v;
-  throw ProtocolError(ErrCode::kUnknownName,
-                      "unknown variant '" + name +
-                          "' (expected scalar, musimd or vector)");
-}
-
 // ---- SimResult <-> Json -----------------------------------------------------
 
 Json stalls_to_json(const StallBreakdown& st) {
@@ -317,16 +309,15 @@ Request parse_request(const std::string& line) {
 
   const std::vector<std::string> app_names = opt_string_array(j, "apps");
   const std::vector<std::string> cfg_names = opt_string_array(j, "configs");
+  const Json* variant = j.find("variant");
+  if (variant && !variant->is_string()) bad("field 'variant' must be a string");
   try {
     for (const std::string& n : app_names) sim.apps.push_back(app_by_name(n));
     for (const std::string& n : cfg_names)
       sim.cfgs.push_back(MachineConfig::table2_by_name(n));
+    if (variant) sim.variant = variant_by_name(variant->as_string());
   } catch (const Error& e) {
     throw ProtocolError(ErrCode::kUnknownName, e.what());
-  }
-  if (const Json* v = j.find("variant")) {
-    if (!v->is_string()) bad("field 'variant' must be a string");
-    sim.variant = variant_by_name(v->as_string());
   }
   if (sim.cfgs.empty()) sim.cfgs = MachineConfig::all_table2();
 
@@ -527,22 +518,17 @@ Response decode_response(const std::string& line) {
   const bool perfect = opt_bool(j, "perfect", false);
   r.outcome.result = result_from_json(need(j, "result"));
   r.outcome.cell.perfect = perfect;
-  r.outcome.cell.variant = variant_by_name(variant);
-  if (app == "program") {
-    r.program_cell = true;
-    // cell.app stays defaulted; report writers are matrix-mode only.
-    try {
-      r.outcome.cell.cfg = MachineConfig::table2_by_name(cfg_name);
-    } catch (const Error& e) {
-      throw ProtocolError(ErrCode::kUnknownName, e.what());
-    }
-  } else {
-    try {
+  try {
+    r.outcome.cell.variant = variant_by_name(variant);
+    if (app == "program") {
+      r.program_cell = true;
+      // cell.app stays defaulted; report writers are matrix-mode only.
+    } else {
       r.outcome.cell.app = app_by_name(app);
-      r.outcome.cell.cfg = MachineConfig::table2_by_name(cfg_name);
-    } catch (const Error& e) {
-      throw ProtocolError(ErrCode::kUnknownName, e.what());
     }
+    r.outcome.cell.cfg = MachineConfig::table2_by_name(cfg_name);
+  } catch (const Error& e) {
+    throw ProtocolError(ErrCode::kUnknownName, e.what());
   }
   r.outcome.cell.cfg.mem.perfect = perfect;
   return r;

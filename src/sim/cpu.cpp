@@ -285,13 +285,6 @@ SimResult Cpu::run(Cycle max_cycles) {
   return res;
 }
 
-SimResult run_program(Program prog, const MachineConfig& cfg, MainMemory& mem) {
-  const ScheduledProgram sp = compile(std::move(prog), cfg);
-  const ExecImage image = lower_image(sp, sp.cfg);
-  Cpu cpu(sp.cfg, mem, image);
-  return cpu.run();
-}
-
 SimResult run_program(Program prog, const MachineConfig& cfg, Workspace& ws) {
   const ScheduledProgram sp = compile(std::move(prog), cfg);
   const ExecImage image = lower_image(sp, sp.cfg);

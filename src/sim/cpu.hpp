@@ -114,13 +114,11 @@ class Cpu {
   StallProfile* profile_ = nullptr;
 };
 
-/// Convenience: compile + simulate, returning the result. Starts from a cold
-/// memory hierarchy: every first touch pays the full main-memory latency.
-SimResult run_program(Program prog, const MachineConfig& cfg, MainMemory& mem);
-
-/// As above, but models the paper's steady-state assumption: the workspace's
-/// working set is pre-warmed into the L3 before running, matching run_app
-/// (see MemorySystem::warm and DESIGN.md on input scaling).
+/// Convenience: compile + simulate on `ws`, returning the result. Models the
+/// paper's steady-state assumption: the workspace's working set is
+/// pre-warmed into the L3 before running, matching run_app (see
+/// MemorySystem::warm and DESIGN.md on input scaling). A cold run builds
+/// its Cpu directly and does not call warm().
 SimResult run_program(Program prog, const MachineConfig& cfg, Workspace& ws);
 
 }  // namespace vuv

@@ -32,7 +32,7 @@ TEST(EmitDct, ScalarForwardMatchesGolden) {
   ProgramBuilder b;
   Reg base = b.movi(buf.addr);
   emit_dct_scalar(b, fdct_table(), base, 0, buf.group, /*columns_first=*/true);
-  run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  run_program(b.take(), MachineConfig::vliw(2), ws);
   auto expect = blocks[0];
   fdct8x8(expect.data());
   const auto got = ws.read_i16(buf, 64);
@@ -47,7 +47,7 @@ TEST(EmitDct, ScalarInverseMatchesGolden) {
   ProgramBuilder b;
   Reg base = b.movi(buf.addr);
   emit_dct_scalar(b, idct_table(), base, 0, buf.group, /*columns_first=*/false);
-  run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  run_program(b.take(), MachineConfig::vliw(2), ws);
   auto expect = blocks[1];
   idct8x8(expect.data());
   const auto got = ws.read_i16(buf, 64);
@@ -67,7 +67,7 @@ TEST(EmitDct, MusimdForwardMatchesGolden) {
   emit_dct_musimd(b, fdct_table(), words);
   for (int s = 0; s < 16; ++s)
     b.stqs(words[static_cast<size_t>(s)], outr, s * 8, out.group);
-  run_program(b.take(), MachineConfig::musimd(2), ws.mem());
+  run_program(b.take(), MachineConfig::musimd(2), ws);
   auto expect = blocks[2];
   fdct8x8(expect.data());
   const auto got = ws.read_i16(out, 64);
@@ -102,7 +102,7 @@ TEST(EmitDct, VectorForwardMatchesGoldenBatch) {
   Reg srcr = b.movi(src.addr), dstr = b.movi(dst.addr), poolr = b.movi(pool.addr);
   emit_dct_vector(b, fdct_table(), srcr, src.group, dstr, dst.group, 8, poolr,
                   pool.group);
-  run_program(b.take(), MachineConfig::vector2(2), ws.mem());
+  run_program(b.take(), MachineConfig::vector2(2), ws);
 
   for (int e = 0; e < 8; ++e) {
     auto expect = blocks[static_cast<size_t>(e)];
@@ -133,7 +133,7 @@ TEST(EmitDct, MusimdInverseRoundTripsWithForward) {
   emit_dct_musimd(b, fdct_table(), words);
   emit_dct_musimd(b, idct_table(), words);
   for (int s = 0; s < 16; ++s) b.stqs(words[static_cast<size_t>(s)], outr, s * 8, out.group);
-  run_program(b.take(), MachineConfig::musimd(2), ws.mem());
+  run_program(b.take(), MachineConfig::musimd(2), ws);
   const auto got = ws.read_i16(out, 64);
   for (int i = 0; i < 64; ++i)
     EXPECT_NEAR(got[static_cast<size_t>(i)], blocks[3][static_cast<size_t>(i)], 8) << i;

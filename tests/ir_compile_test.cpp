@@ -119,7 +119,7 @@ TEST(RegAlloc, LoopCarriedValueSurvivesAllocation) {
     b.mov_to(acc, b.add(acc, t));
   });
   b.std_(b.add(keep, acc), base, 0, out.group);
-  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws);
   (void)r;
   EXPECT_EQ(ws.read_u64(out), 777u + 2470u);  // sum i^2, i<20 = 2470
 }

@@ -139,7 +139,7 @@ TEST_P(VectorMatchesMusimd, ElementwiseEquivalence) {
   Reg va = b.vld(pa, 0, ba.group);
   Reg vb = b.vld(pb, 0, bb.group);
   b.vst(b.v2(c.vop, va, vb), po, 0, bo.group);
-  run_program(b.take(), MachineConfig::vector1(2), ws.mem());
+  run_program(b.take(), MachineConfig::vector1(2), ws);
 
   const Opcode base = vector_base_op(c.vop);
   for (i32 e = 0; e < c.vl; ++e) {

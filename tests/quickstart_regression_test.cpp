@@ -1,19 +1,20 @@
 // Regression test for the examples/quickstart.cpp cycle accounting.
 //
-// The original quickstart ran the program through the cold-memory
-// run_program overload, so every line it touched was a 500-cycle cold
-// main-memory miss: 16824 of 16927 cycles were stalls, and the L2 vector
-// cache never hit (each line was touched exactly once). The fix is
-// twofold: the Workspace overload of run_program pre-warms the working set
-// into the L3 (matching run_app's steady-state model), and MemStats
-// separates vector-path L2 lookups (l2_hits/l2_misses) from scalar L1
-// refills (l2_scalar_hits/l2_scalar_misses) so "L2 vector hits" reports
+// The original quickstart ran the program on a cold memory hierarchy, so
+// every line it touched was a 500-cycle cold main-memory miss: 16824 of
+// 16927 cycles were stalls, and the L2 vector cache never hit (each line
+// was touched exactly once). The fix is twofold: run_program pre-warms the
+// working set into the L3 (matching run_app's steady-state model), and
+// MemStats separates vector-path L2 lookups (l2_hits/l2_misses) from scalar
+// L1 refills (l2_scalar_hits/l2_scalar_misses) so "L2 vector hits" reports
 // what it says. This test pins the corrected numbers.
 #include <gtest/gtest.h>
 
 #include "ir/builder.hpp"
 #include "mem/mainmem.hpp"
+#include "sched/schedule.hpp"
 #include "sim/cpu.hpp"
+#include "sim/image.hpp"
 
 namespace vuv {
 namespace {
@@ -71,8 +72,10 @@ TEST(QuickstartRegression, ColdRunIsDominatedByMainMemoryStalls) {
   // The pre-fix behavior, kept as documentation of the root cause: without
   // warming, every line is a 500-cycle cold miss and stalls dominate.
   Workspace ws;
-  const SimResult r =
-      run_program(build_quickstart(ws), MachineConfig::vector2(2), ws.mem());
+  const ScheduledProgram sp =
+      compile(build_quickstart(ws), MachineConfig::vector2(2));
+  const ExecImage image = lower_image(sp, sp.cfg);
+  const SimResult r = Cpu(sp.cfg, ws.mem(), image).run();  // no warm()
   EXPECT_EQ(r.mem.l3_misses, 50);
   EXPECT_GT(r.stall_cycles, 10 * 517);
   // Reuse still hits the L2 once the misses fill it.

@@ -45,6 +45,7 @@ TEST(RefGen, FromTextSkipsCommentsAndRejectsMalformedInput) {
   // (an empty program would make a broken counterexample replay as "ok").
   EXPECT_THROW(from_text("vuvgen 1\nvariant musimd\nseed oops\n"), Error);
   EXPECT_THROW(from_text("not a corpus file"), Error);
+  EXPECT_THROW(from_text("vuvgen 1\nvariant turbo\nseed 0\n"), Error);
   // A register token must be a class letter and exactly one non-negative
   // i32: no digits, trailing junk, a sign or overflow throws Error (not a
   // standard-library exception, and not a truncated or wrapped id).

@@ -291,5 +291,32 @@ TEST(Runner, RunReleasesEachCompileAfterItsLastCell) {
   }
 }
 
+// A failing cell does not cut the sweep short: run() rethrows only once
+// every cell has settled, and the good cells' compiles are still released.
+TEST(Runner, FailedCellSettlesTheRestAndReleasesTheirCompiles) {
+  SweepSpec spec;
+  // gsm_dec's vector code cannot compile for a core without a vector unit.
+  spec.add(App::kGsmDec, Variant::kVector, MachineConfig::vliw(2));
+  spec.add(App::kGsmDec, MachineConfig::musimd(2));
+  spec.add(App::kJpegDec, MachineConfig::vliw(2));
+
+  for (const i32 jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    RunnerOptions ropts;
+    ropts.jobs = jobs;
+    Runner runner(ropts);
+    obs::Registry& m = runner.metrics();
+    try {
+      runner.run(spec);
+      ADD_FAILURE() << "run() did not throw";
+    } catch (const CompileError&) {
+      EXPECT_EQ(m.counter("sim.cells").value(), 2);
+    }
+    for (size_t i = 1; i < spec.size(); ++i)
+      EXPECT_TRUE(runner.get(spec.cells[i]).verified) << spec.cells[i].key();
+    EXPECT_EQ(m.gauge("compile_cache.bytes").value(), 0);
+  }
+}
+
 }  // namespace
 }  // namespace vuv

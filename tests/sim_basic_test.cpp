@@ -19,7 +19,7 @@ TEST(SimBasic, MoviStoreRoundTrip) {
   Reg base = b.movi(out.addr);
   Reg v = b.movi(42);
   b.std_(v, base, 0, out.group);
-  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws);
   EXPECT_EQ(ws.read_u64(out), 42u);
   EXPECT_GT(r.cycles, 0);
 }
@@ -37,7 +37,7 @@ TEST(SimBasic, ArithmeticChain) {
   Reg q = b.div(p, y);     // 30
   Reg m = b.max_(q, s);    // 30
   b.std_(m, base, 0, out.group);
-  run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  run_program(b.take(), MachineConfig::vliw(2), ws);
   EXPECT_EQ(ws.read_u64(out), 30u);
 }
 
@@ -50,7 +50,7 @@ TEST(SimBasic, AbsOfInt64MinWraps) {
   Reg base = b.movi(out.addr);
   b.std_(b.abs_(b.movi(std::numeric_limits<i64>::min())), base, 0, out.group);
   b.std_(b.abs_(b.movi(-5)), base, 8, out.group);
-  run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  run_program(b.take(), MachineConfig::vliw(2), ws);
   EXPECT_EQ(ws.read_u64(out), u64{1} << 63);
   EXPECT_EQ(ws.read_u64(out, 8), 5u);
 }
@@ -63,7 +63,7 @@ TEST(SimBasic, LoopSumsIntegers) {
   Reg acc = b.movi(0);
   b.for_range(1, 101, 1, [&](Reg i) { b.mov_to(acc, b.add(acc, i)); });
   b.std_(acc, base, 0, out.group);
-  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws);
   EXPECT_EQ(ws.read_u64(out), 5050u);
   EXPECT_EQ(r.taken_branches, 99);  // do-while loop: 100 iterations, 99 taken
 }
@@ -78,7 +78,7 @@ TEST(SimBasic, NestedLoops) {
     b.for_range(0, 7, 1, [&](Reg) { b.addi_to(acc, acc, 1); });
   });
   b.std_(acc, base, 0, out.group);
-  run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  run_program(b.take(), MachineConfig::vliw(2), ws);
   EXPECT_EQ(ws.read_u64(out), 70u);
 }
 
@@ -97,7 +97,7 @@ TEST(SimBasic, UnlessSkipsAndRuns) {
   // 3 >= 2 is true -> body skipped
   b.unless(Opcode::BGE, three, two, [&] { b.mov_to(c, b.movi(444)); });
   b.std_(c, base, 8, out.group);
-  run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  run_program(b.take(), MachineConfig::vliw(2), ws);
   EXPECT_EQ(ws.read_u64(out, 0), 222u);
   EXPECT_EQ(ws.read_u64(out, 8), 333u);
 }
@@ -115,7 +115,7 @@ TEST(SimBasic, ByteAndHalfLoadsSignExtend) {
   b.std_(b.ldbu(pb, 0, buf.group), po, 8, out.group);
   b.std_(b.ldh(pb, 2, buf.group), po, 16, out.group);
   b.std_(b.ldhu(pb, 2, buf.group), po, 24, out.group);
-  run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  run_program(b.take(), MachineConfig::vliw(2), ws);
   EXPECT_EQ(static_cast<i64>(ws.read_u64(out, 0)), -1);
   EXPECT_EQ(ws.read_u64(out, 8), 0xffu);
   EXPECT_EQ(static_cast<i64>(ws.read_u64(out, 16)), -32768);
@@ -134,7 +134,7 @@ TEST(SimBasic, MusimdPackedAddStore) {
   Reg rb = b.movis(0x0505050505050505ull);
   Reg sum = b.m2(Opcode::M_PADDUSB, ra, rb);
   b.stqs(sum, pc, 0, c.group);
-  run_program(b.take(), MachineConfig::musimd(2), ws.mem());
+  run_program(b.take(), MachineConfig::musimd(2), ws);
   const auto got = ws.read_u8(c, 8);
   const std::vector<u8> want{6, 7, 8, 9, 255, 255, 255, 255};
   EXPECT_EQ(got, want);
@@ -158,7 +158,7 @@ TEST(SimBasic, VectorLoadAddStore) {
   Reg vb = b.vld(pb, 0, bb.group);
   Reg vc = b.v2(Opcode::V_PADDB, va, vb);
   b.vst(vc, pc, 0, c.group);
-  run_program(b.take(), MachineConfig::vector1(2), ws.mem());
+  run_program(b.take(), MachineConfig::vector1(2), ws);
   const auto got = ws.read_u8(c, 128);
   for (int i = 0; i < 128; ++i)
     EXPECT_EQ(got[static_cast<size_t>(i)], static_cast<u8>(i + 1)) << i;
@@ -188,7 +188,7 @@ TEST(SimBasic, VectorSadAccumulate) {
   b.vsadacc(acc, va, vb);
   Reg sad = b.sumacb(acc);
   b.std_(sad, po, 0, out.group);
-  run_program(b.take(), MachineConfig::vector2(2), ws.mem());
+  run_program(b.take(), MachineConfig::vector2(2), ws);
   EXPECT_EQ(static_cast<i64>(ws.read_u64(out)), expect);
 }
 
@@ -206,7 +206,7 @@ TEST(SimBasic, StridedVectorLoad) {
   Reg v = b.vld(pi, 0, img.group);
   b.setvs(8);
   b.vst(v, po, 0, out.group);
-  SimResult r = run_program(b.take(), MachineConfig::vector1(2), ws.mem());
+  SimResult r = run_program(b.take(), MachineConfig::vector1(2), ws);
   const auto got = ws.read_u8(out, 32);
   for (int row = 0; row < 4; ++row)
     for (int i = 0; i < 8; ++i)
@@ -224,7 +224,7 @@ TEST(SimBasic, RegionAttribution) {
   b.for_range(0, 50, 1, [&](Reg i) { b.mov_to(acc, b.add(acc, i)); });
   b.end_region();
   b.std_(acc, base, 0, out.group);
-  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws);
   ASSERT_GE(r.regions.size(), 2u);
   EXPECT_GT(r.regions[1].cycles, 0);
   EXPECT_GT(r.regions[0].cycles, 0);
@@ -236,7 +236,7 @@ TEST(SimBasic, HaltStopsExecution) {
   Workspace ws;
   ProgramBuilder b;
   b.movi(1);
-  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws);
   EXPECT_GT(r.cycles, 0);
   EXPECT_LT(r.cycles, 10);
 }

@@ -43,7 +43,7 @@ TEST(StallCausesPinned, CrossBlockRawIsTheOnlyCause) {
 
   MachineConfig cfg = MachineConfig::vliw(2);
   cfg.mem.perfect = true;
-  const SimResult r = run_program(b.take(), cfg, ws.mem());
+  const SimResult r = run_program(b.take(), cfg, ws);
 
   EXPECT_EQ(ws.read_u64(out), 49u);
   EXPECT_GT(r.stalls.raw, 0) << "cross-block MUL->ADD must slip";
@@ -66,7 +66,10 @@ TEST(StallCausesPinned, ColdMissIsMemLatencyNotRaw) {
   Reg w = b.addi(v, 5);
   b.std_(w, pout, 0, out.group);
 
-  const SimResult r = run_program(b.take(), MachineConfig::vliw(2), ws.mem());
+  // A Cpu without warm(): the load misses all the way to main memory.
+  const ScheduledProgram sp = compile(b.take(), MachineConfig::vliw(2));
+  const ExecImage image = lower_image(sp, sp.cfg);
+  const SimResult r = Cpu(sp.cfg, ws.mem(), image).run();
 
   EXPECT_EQ(ws.read_u64(out), 5u);
   EXPECT_GT(r.stalls.mem_latency, 0) << "cold miss must stall the consumer";
@@ -101,7 +104,7 @@ TEST(StallCausesPinned, BusyVectorUnitIsFuConflict) {
   b.vst(v1, pout, 0, out.group);
   b.vst(v2, pout, 0, out.group);
 
-  const SimResult r = run_program(b.take(), cfg, ws.mem());
+  const SimResult r = run_program(b.take(), cfg, ws);
 
   EXPECT_GT(r.stalls.fu_conflict, 0) << "vector unit occupancy must bind";
   EXPECT_EQ(r.stalls.raw, 0);
@@ -183,8 +186,8 @@ TEST(Trace, DeterministicBytesAndNullSinkIdentity) {
   EXPECT_EQ(prof_total, a.res.stall_cycles);
   EXPECT_EQ(a.profile.by_op.size(), image.ops.size());
 
-  // Timestamps are monotone per track (what the CI trace job re-checks on
-  // the emitted JSON with an independent parser).
+  // Timestamps are monotone per track (what a CI step re-checks on the
+  // emitted JSON with an independent parser).
   ASSERT_FALSE(a.events.empty());
   std::map<i32, Cycle> last;
   for (const obs::ChromeTraceSink::Event& e : a.events) {
@@ -212,7 +215,7 @@ TEST(Trace, ProfileRowsSortedAndConsistent) {
   const SimResult res = cpu.run();
 
   const std::vector<obs::ProfileRow> rows =
-      obs::profile_rows(profile, sp.prog, cpu.image());
+      obs::profile_rows(profile, cpu.image());
   ASSERT_FALSE(rows.empty()) << "gsm_dec on a realistic hierarchy must stall";
   Cycle total = 0;
   for (size_t i = 0; i < rows.size(); ++i) {

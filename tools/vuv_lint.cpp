@@ -64,13 +64,6 @@ std::vector<MachineConfig> configs_for(Variant v) {
   return out;
 }
 
-Variant variant_by_name(const std::string& n) {
-  if (n == "scalar") return Variant::kScalar;
-  if (n == "musimd") return Variant::kMusimd;
-  if (n == "vector") return Variant::kVector;
-  throw Error("unknown variant '" + n + "' (scalar|musimd|vector)");
-}
-
 void print_list() {
   std::cout << "apps:";
   for (App a : all_apps()) std::cout << ' ' << app_name(a);

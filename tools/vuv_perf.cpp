@@ -116,10 +116,6 @@ int main(int argc, char** argv) {
               << perf.wall_seconds << "s wall, " << perf.simulated_cycles
               << " simulated cycles (" << perf.cycles_per_second / 1e6
               << " Mcycles/s)\n";
-    for (const ClassPerf& c : perf.workload_class)
-      std::cerr << "[vuv_perf]   " << c.name << ": " << c.cells
-                << " cell(s), " << c.wall_seconds << "s simulate, "
-                << c.cycles_per_second / 1e6 << " Mcycles/s\n";
 
     if (!baseline.empty()) {
       std::ifstream bf(baseline);

@@ -51,13 +51,6 @@ const cli::Usage kUsage{
         "vuv_trace --app mpeg2_dec --config Vector1-2w --perfect --profile m.json",
     }};
 
-Variant variant_by_name(const std::string& n) {
-  if (n == "scalar") return Variant::kScalar;
-  if (n == "musimd") return Variant::kMusimd;
-  if (n == "vector") return Variant::kVector;
-  throw Error("unknown variant '" + n + "' (scalar|musimd|vector)");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -128,7 +121,7 @@ int main(int argc, char** argv) {
     const obs::ProfileMeta meta{app_name_s, cfg.name,
                                 perfect ? "perfect" : "realistic"};
     const std::vector<obs::ProfileRow> rows =
-        obs::profile_rows(profile, sp.prog, cpu.image());
+        obs::profile_rows(profile, cpu.image());
     const size_t top_n = static_cast<size_t>(top);
     cli::write_output(profile_path, [&](std::ostream& os) {
       if (profile_path.ends_with(".json"))

@@ -15,36 +15,38 @@ constexpr RegClass kA = RegClass::kAcc;
 struct Tbl {
   std::array<OpInfo, static_cast<size_t>(Opcode::kCount)> t{};
 
-  void set(Opcode op, OpInfo info) { t[static_cast<size_t>(op)] = info; }
+  constexpr void set(Opcode op, OpInfo info) {
+    t[static_cast<size_t>(op)] = info;
+  }
 
-  OpInfo scalar2(const char* n, i8 lat = 1) {
+  constexpr OpInfo scalar2(const char* n, i8 lat = 1) {
     return {n, FuClass::kInt, lat, 0, kI, {kI, kI, kN}, 2, {}};
   }
-  OpInfo scalar_imm(const char* n, i8 lat = 1) {
+  constexpr OpInfo scalar_imm(const char* n, i8 lat = 1) {
     OpInfo o{n, FuClass::kInt, lat, 0, kI, {kI, kN, kN}, 1, {}};
     o.flags.has_imm = true;
     return o;
   }
-  OpInfo load(const char* n) {
+  constexpr OpInfo load(const char* n) {
     OpInfo o{n, FuClass::kMem, 1, 0, kI, {kI, kN, kN}, 1, {}};
     o.flags.mem_load = true;
     o.flags.has_imm = true;
     return o;
   }
-  OpInfo store(const char* n) {
+  constexpr OpInfo store(const char* n) {
     OpInfo o{n, FuClass::kMem, 1, 0, kN, {kI, kI, kN}, 2, {}};
     o.flags.mem_store = true;
     o.flags.has_imm = true;
     return o;
   }
-  OpInfo branch(const char* n) {
+  constexpr OpInfo branch(const char* n) {
     OpInfo o{n, FuClass::kBranch, 1, 0, kN, {kI, kI, kN}, 2, {}};
     o.flags.branch = true;
     return o;
   }
 };
 
-Tbl build_table() {
+constexpr Tbl build_table() {
   Tbl b;
 
   // ---- scalar core ---------------------------------------------------------
@@ -218,15 +220,22 @@ Tbl build_table() {
   return b;
 }
 
-const Tbl g_table = build_table();
+// Constant-initialized, so op_info is safe from any static initializer of
+// another translation unit, and a table entry left unset fails to compile.
+constexpr Tbl g_table = build_table();
+
+constexpr bool every_opcode_named(const Tbl& tbl) {
+  for (const OpInfo& info : tbl.t)
+    if (info.name == nullptr) return false;
+  return true;
+}
+static_assert(every_opcode_named(g_table), "opcode missing from table");
 
 }  // namespace
 
 const OpInfo& op_info(Opcode op) {
   VUV_CHECK(op < Opcode::kCount, "bad opcode");
-  const OpInfo& info = g_table.t[static_cast<size_t>(op)];
-  VUV_CHECK(info.name != nullptr, "opcode missing from table");
-  return info;
+  return g_table.t[static_cast<size_t>(op)];
 }
 
 Opcode vector_base_op(Opcode op) {

@@ -20,7 +20,7 @@ constexpr DctStep L15(i8 a, i8 b, i16 m) { return {DctStepKind::kLift15, a, b, m
 constexpr DctStep L15S(i8 a, i8 b, i16 m) { return {DctStepKind::kLift15Sub, a, b, m}; }
 constexpr DctStep N(i8 a) { return {DctStepKind::kNeg, a, 0, 0}; }
 
-DctTable make_fwd() {
+constexpr DctTable make_fwd() {
   DctTable t{};
   i32 n = 0;
   auto push = [&](DctStep s) { t.steps[static_cast<size_t>(n++)] = s; };
@@ -37,11 +37,11 @@ DctTable make_fwd() {
   push(HB(7, 6)); push(HB(4, 5));
   push(N(5));                             // X1->7, X3~->6, X5~->4, X7->5
   t.nsteps = n;
-  t.perm = {0, 7, 3, 6, 1, 4, 2, 5};      // slot of coefficient u
+  t.perm = detail::kDctPerm;              // slot of coefficient u
   return t;
 }
 
-DctTable make_inv() {
+constexpr DctTable make_inv() {
   const DctTable f = make_fwd();
   DctTable t{};
   t.nsteps = f.nsteps;
@@ -62,8 +62,10 @@ DctTable make_inv() {
   return t;
 }
 
-const DctTable g_fwd = make_fwd();
-const DctTable g_inv = make_inv();
+// Constant-initialized: no static initializer of another translation unit
+// can observe them unset.
+constexpr DctTable g_fwd = make_fwd();
+constexpr DctTable g_inv = make_inv();
 
 inline i16 w16(i32 v) { return static_cast<i16>(v); }
 inline i16 mulq16(i16 b, i16 m) {
@@ -99,40 +101,6 @@ void apply(const DctTable& t, i16* x) {
   }
 }
 
-std::array<i8, 64> make_zigzag() {
-  // Standard JPEG zigzag over (v,u), then through the slot permutation.
-  static constexpr i8 zz[64] = {
-      0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18, 11, 4,  5,
-      12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6,  7,  14, 21, 28,
-      35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-      58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
-  std::array<i8, 64> out{};
-  for (int k = 0; k < 64; ++k) {
-    const int v = zz[k] / 8, u = zz[k] % 8;
-    out[static_cast<size_t>(k)] =
-        static_cast<i8>(g_fwd.perm[static_cast<size_t>(v)] * 8 +
-                        g_fwd.perm[static_cast<size_t>(u)]);
-  }
-  return out;
-}
-
-const std::array<i8, 64> g_zigzag = make_zigzag();
-
-std::array<std::pair<i8, i8>, 64> make_zigzag_vu() {
-  static constexpr i8 zz[64] = {
-      0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18, 11, 4,  5,
-      12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6,  7,  14, 21, 28,
-      35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-      58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
-  std::array<std::pair<i8, i8>, 64> out{};
-  for (int k = 0; k < 64; ++k)
-    out[static_cast<size_t>(k)] = {static_cast<i8>(zz[k] / 8),
-                                   static_cast<i8>(zz[k] % 8)};
-  return out;
-}
-
-const std::array<std::pair<i8, i8>, 64> g_zigzag_vu = make_zigzag_vu();
-
 }  // namespace
 
 const DctTable& fdct_table() { return g_fwd; }
@@ -164,9 +132,5 @@ void idct8x8(i16* block) {
     for (int r = 0; r < 8; ++r) block[8 * r + c] = col[r];
   }
 }
-
-const std::array<i8, 64>& dct_zigzag() { return g_zigzag; }
-
-const std::array<std::pair<i8, i8>, 64>& dct_zigzag_vu() { return g_zigzag_vu; }
 
 }  // namespace vuv

@@ -61,13 +61,54 @@ void idct8(i16* x);
 void fdct8x8(i16* block);
 void idct8x8(i16* block);
 
+namespace detail {
+
+/// The forward transform's output slot of coefficient u: DctTable::perm of
+/// both step tables.
+inline constexpr std::array<i8, 8> kDctPerm = {0, 7, 3, 6, 1, 4, 2, 5};
+
+/// The standard JPEG zigzag order over (v,u), as v * 8 + u.
+inline constexpr std::array<i8, 64> kJpegZigzag = {
+    0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18, 11, 4,  5,
+    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6,  7,  14, 21, 28,
+    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
+    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
+
+constexpr std::array<i8, 64> make_zigzag() {
+  // The JPEG zigzag over (v,u), then through the slot permutation.
+  std::array<i8, 64> out{};
+  for (size_t k = 0; k < 64; ++k) {
+    const auto v = static_cast<size_t>(kJpegZigzag[k] / 8);
+    const auto u = static_cast<size_t>(kJpegZigzag[k] % 8);
+    out[k] = static_cast<i8>(kDctPerm[v] * 8 + kDctPerm[u]);
+  }
+  return out;
+}
+
+constexpr std::array<std::pair<i8, i8>, 64> make_zigzag_vu() {
+  std::array<std::pair<i8, i8>, 64> out{};
+  for (size_t k = 0; k < 64; ++k)
+    out[k] = {static_cast<i8>(kJpegZigzag[k] / 8),
+              static_cast<i8>(kJpegZigzag[k] % 8)};
+  return out;
+}
+
+// Constant-initialized, so other translation units' static initializers
+// (jpeg.cpp's quantizer tables) may read them in any initialization order.
+inline constexpr std::array<i8, 64> kZigzag = make_zigzag();
+inline constexpr std::array<std::pair<i8, i8>, 64> kZigzagVu = make_zigzag_vu();
+
+}  // namespace detail
+
 /// Map from zigzag index (0..63) to the row-major position inside a
 /// transformed block (accounting for the slot permutation), so entropy
 /// coding walks coefficients in roughly increasing frequency.
-const std::array<i8, 64>& dct_zigzag();
+constexpr const std::array<i8, 64>& dct_zigzag() { return detail::kZigzag; }
 
 /// The (v,u) frequency pair visited at each zigzag index — used by the
 /// applications to build layout-specific coefficient-offset tables.
-const std::array<std::pair<i8, i8>, 64>& dct_zigzag_vu();
+constexpr const std::array<std::pair<i8, i8>, 64>& dct_zigzag_vu() {
+  return detail::kZigzagVu;
+}
 
 }  // namespace vuv

@@ -8,7 +8,7 @@ namespace vuv {
 
 namespace {
 
-std::array<i16, 64> make_qsteps(i16 dc, i16 lo, i16 hi) {
+constexpr std::array<i16, 64> make_qsteps(i16 dc, i16 lo, i16 hi) {
   // Steps grow with zigzag order (frequency); indexed by stored position.
   std::array<i16, 64> q{};
   const auto& zz = dct_zigzag();
@@ -19,7 +19,7 @@ std::array<i16, 64> make_qsteps(i16 dc, i16 lo, i16 hi) {
   return q;
 }
 
-std::array<i16, 64> make_recip2(const std::array<i16, 64>& q) {
+constexpr std::array<i16, 64> make_recip2(const std::array<i16, 64>& q) {
   std::array<i16, 64> r{};
   for (int i = 0; i < 64; ++i)
     r[static_cast<size_t>(i)] =
@@ -27,10 +27,13 @@ std::array<i16, 64> make_recip2(const std::array<i16, 64>& q) {
   return r;
 }
 
-const std::array<i16, 64> g_ql = make_qsteps(6, 8, 36);
-const std::array<i16, 64> g_qc = make_qsteps(6, 10, 44);
-const std::array<i16, 64> g_rl = make_recip2(g_ql);
-const std::array<i16, 64> g_rc = make_recip2(g_qc);
+// Constant-initialized: built at compile time from the constexpr zigzag,
+// so no initialization order across translation units can run
+// make_recip2 over an unset table (a zero step fails to compile).
+constexpr std::array<i16, 64> g_ql = make_qsteps(6, 8, 36);
+constexpr std::array<i16, 64> g_qc = make_qsteps(6, 10, 44);
+constexpr std::array<i16, 64> g_rl = make_recip2(g_ql);
+constexpr std::array<i16, 64> g_rc = make_recip2(g_qc);
 
 /// Extract an 8x8 block at (bx,by) from a plane, level-shifted to i16.
 void load_block(const std::vector<u8>& plane, i32 w, i32 bx, i32 by, i16* blk) {

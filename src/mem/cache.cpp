@@ -11,6 +11,8 @@ Cache::Cache(i32 size_bytes, i32 assoc, i32 line_bytes)
       sets_(size_bytes / (assoc * line_bytes)) {
   VUV_CHECK(is_pow2(static_cast<u64>(line_bytes)), "line size must be pow2");
   VUV_CHECK(sets_ > 0, "cache too small");
+  pow2_sets_ = is_pow2(static_cast<u64>(sets_));
+  set_mask_ = static_cast<u64>(sets_) - 1;
   lines_.resize(static_cast<size_t>(sets_) * assoc_);
 }
 

@@ -38,8 +38,13 @@ class Cache {
   };
 
   u64 tag_of(Addr addr) const { return addr >> line_shift_; }
+  /// A mask picks the set when the set count is a power of two (every
+  /// Table-2 and mem_dse hierarchy): the same set `%` gives, without a
+  /// 64-bit divide on every lookup and fill.
   size_t set_of(Addr addr) const {
-    return static_cast<size_t>(tag_of(addr) % static_cast<u64>(sets_));
+    const u64 t = tag_of(addr);
+    return static_cast<size_t>(pow2_sets_ ? t & set_mask_
+                                          : t % static_cast<u64>(sets_));
   }
   Line* find(Addr addr);
   const Line* find(Addr addr) const;
@@ -48,6 +53,8 @@ class Cache {
   i32 line_shift_;
   i32 assoc_;
   i32 sets_;
+  bool pow2_sets_;
+  u64 set_mask_;  // sets_ - 1
   u64 tick_ = 0;
   i64 evictions_ = 0;
   std::vector<Line> lines_;  // sets_ x assoc_

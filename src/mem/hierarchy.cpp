@@ -1,9 +1,19 @@
 #include "mem/hierarchy.hpp"
 
 #include <algorithm>
-#include <set>
+#include <array>
+
+#include "common/error.hpp"
 
 namespace vuv {
+
+namespace {
+
+/// The longest vector access: a vector register's element count, to which
+/// the simulator bounds VL.
+constexpr i32 kMaxVl = 16;
+
+}  // namespace
 
 MemorySystem::MemorySystem(const MachineConfig& cfg)
     : cfg_(cfg),
@@ -104,20 +114,29 @@ MemResult MemorySystem::vector_access(Addr addr, i64 stride, i32 vl, bool store,
     return {ready, now + m.lat_l2, transfer, 2};
   }
 
-  // Distinct lines touched, in element order (elements may straddle lines).
-  std::set<Addr> line_set;
+  // Distinct lines touched, in ascending address order (elements may
+  // straddle lines): at most two per element, sorted and de-duplicated on
+  // the stack.
+  VUV_CHECK(vl >= 1 && vl <= kMaxVl, "vector access length out of range");
+  std::array<Addr, 2 * kMaxVl> lines;
+  size_t n_lines = 0;
   const u32 line = static_cast<u32>(m.line_size);
   for (i32 e = 0; e < vl; ++e) {
     const Addr a = static_cast<Addr>(static_cast<i64>(addr) + e * stride);
-    line_set.insert(a / line * line);
-    line_set.insert((a + 7) / line * line);
+    lines[n_lines++] = a / line * line;
+    lines[n_lines++] = (a + 7) / line * line;
   }
+  std::sort(lines.begin(), lines.begin() + static_cast<std::ptrdiff_t>(n_lines));
+  n_lines = static_cast<size_t>(
+      std::unique(lines.begin(),
+                  lines.begin() + static_cast<std::ptrdiff_t>(n_lines)) -
+      lines.begin());
 
   Cycle base = m.lat_l2;  // latency until the first elements arrive
   Cycle extra = 0;        // additional fill latency beyond the L2
   u8 deepest = 2;
-  for (Addr la : line_set) {
-    const Cycle lat = vector_line_latency(la, store, deepest);
+  for (size_t i = 0; i < n_lines; ++i) {
+    const Cycle lat = vector_line_latency(lines[i], store, deepest);
     extra += std::max<Cycle>(0, lat - m.lat_l2);
   }
   base += extra;
@@ -126,7 +145,7 @@ MemResult MemorySystem::vector_access(Addr addr, i64 stride, i32 vl, bool store,
   if (unit) {
     // The two banks stream whole line pairs through the interchange switch;
     // each pair moves 2*line bytes at B elements (8B each) per cycle.
-    const Cycle pairs = ceil_div(static_cast<i64>(line_set.size()), 2);
+    const Cycle pairs = ceil_div(static_cast<i64>(n_lines), 2);
     stats_.bank_pairs += pairs;
     transfer = std::max<Cycle>(ceil_div(vl, B), (pairs - 1) * (2 * line / 8 / B) +
                                                     ceil_div(vl, B));

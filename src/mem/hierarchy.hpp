@@ -58,8 +58,8 @@ class MemorySystem {
   /// Scalar access of 1..8 bytes through the L1.
   MemResult scalar_access(Addr addr, i32 bytes, bool store, Cycle now);
 
-  /// Vector access: `vl` 64-bit elements at addr, addr+stride, ... through
-  /// the L2 vector cache.
+  /// Vector access: `vl` (1..16) 64-bit elements at addr, addr+stride, ...
+  /// through the L2 vector cache.
   MemResult vector_access(Addr addr, i64 stride, i32 vl, bool store, Cycle now);
 
   /// Pre-fill the L3 with an address range. Models the steady-state working

@@ -363,6 +363,22 @@ constexpr Opcode kBranchCc[] = {Opcode::BEQ, Opcode::BNE, Opcode::BLT,
 
 }  // namespace
 
+const std::vector<MachineConfig>& fuzz_configs(Variant v) {
+  static const std::vector<MachineConfig> scalar = {
+      MachineConfig::vliw(2), MachineConfig::vliw(4), MachineConfig::vliw(8)};
+  static const std::vector<MachineConfig> musimd = {
+      MachineConfig::musimd(2), MachineConfig::musimd(4),
+      MachineConfig::musimd(8)};
+  static const std::vector<MachineConfig> vector = {
+      MachineConfig::vector1(2), MachineConfig::vector1(4),
+      MachineConfig::vector2(2), MachineConfig::vector2(4)};
+  switch (v) {
+    case Variant::kScalar: return scalar;
+    case Variant::kMusimd: return musimd;
+    default: return vector;
+  }
+}
+
 GenProgram generate(const GenOptions& opts) {
   GenProgram p;
   p.variant = opts.variant;

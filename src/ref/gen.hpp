@@ -62,6 +62,11 @@ struct GenOptions {
 
 GenProgram generate(const GenOptions& opts);
 
+/// The fuzzer's per-seed machine rotation: seed s of variant v runs on
+/// fuzz_configs(v)[s % size], so every Table-2 configuration of the
+/// variant's ISA level gets coverage across a seed range.
+const std::vector<MachineConfig>& fuzz_configs(Variant v);
+
 /// Materialized form: the IR program (prologue: pool/buffer setup; body:
 /// the atoms; epilogue: dump every pool register to the out buffer so the
 /// differential check sees all architectural state through memory) plus

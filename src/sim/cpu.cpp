@@ -13,7 +13,9 @@ namespace {
 /// Same semantics the old per-class Pool had (per-instance busy-until
 /// times, nth-smallest free query, first-free take) but allocation-free:
 /// free_at used to copy the busy vector onto the heap for every query,
-/// once per used FU class per simulated VLIW word.
+/// once per used FU class per simulated VLIW word. Each class also keeps
+/// its latest busy-until time, which bounds every free_at answer from
+/// above, so issue runs free_at only when an instance is busy past it.
 class FuTracker {
  public:
   static constexpr i32 kMaxPerClass = 16;
@@ -43,12 +45,18 @@ class FuTracker {
     return b[static_cast<size_t>(want - 1)];
   }
 
+  /// The largest busy-until time of class `f`: free_at(f, want) <= it for
+  /// every want.
+  Cycle latest(u8 f) const { return cls_[f].latest; }
+
   /// Occupy the first free instance; returns its index (for tracing).
   i32 take(u8 f, Cycle t, Cycle occ) {
     Slots& s = cls_[f];
     for (i32 i = 0; i < s.n; ++i)
       if (s.busy[static_cast<size_t>(i)] <= t) {
-        s.busy[static_cast<size_t>(i)] = t + std::max<Cycle>(occ, 1);
+        const Cycle until = t + std::max<Cycle>(occ, 1);
+        s.busy[static_cast<size_t>(i)] = until;
+        s.latest = std::max(s.latest, until);
         return i;
       }
     throw InternalError("pool take with no free instance");
@@ -58,6 +66,7 @@ class FuTracker {
   struct Slots {
     std::array<Cycle, kMaxPerClass> busy{};
     i32 n = 0;
+    Cycle latest = 0;  // max of busy: take only ever raises a slot
   };
 
   void init(FuClass f, i32 count) {
@@ -143,9 +152,11 @@ SimResult Cpu::run(Cycle max_cycles) {
       Slot bind_slot = kNoSlot; // scoreboard slot that bound, if any
       u32 bind_op = w.op_begin; // op whose source bound (the stalled consumer)
       u8 bind_fu = 0;           // FuClass that bound (0 = a slot bound)
+      // Only the first n_check slots can bind (see lower_image): each of
+      // the rest is ready by `base` in every execution of the block.
       for (u32 oi = w.op_begin; oi != w.op_end; ++oi) {
         const DecodedOp& d = im.ops[oi];
-        for (u8 s = 0; s < d.n_ready; ++s) {
+        for (u8 s = 0; s < d.n_check; ++s) {
           const Cycle t = board[d.ready[s]];
           if (t > issue) {
             issue = t;
@@ -155,10 +166,12 @@ SimResult Cpu::run(Cycle max_cycles) {
         }
       }
       for (u8 f = 0; f < w.n_fu; ++f) {
-        const Cycle t = fus.free_at(w.fu_need[f].first, w.fu_need[f].second);
+        const u8 cls = w.fu_need[f].first;
+        if (fus.latest(cls) <= issue) continue;  // free_at <= latest <= issue
+        const Cycle t = fus.free_at(cls, w.fu_need[f].second);
         if (t > issue) {
           issue = t;
-          bind_fu = w.fu_need[f].first;
+          bind_fu = cls;
         }
       }
 

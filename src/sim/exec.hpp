@@ -1,9 +1,9 @@
 // Functional semantics of every operation. The simulator executes real data
 // so application outputs can be verified bit-exactly against the golden
-// media library. Execution dispatches over the predecoded DecodedOp form
-// (see sim/image.hpp): opcode metadata, register indices and memory access
-// shapes were all resolved at lowering time, so the interpreter touches no
-// OpInfo tables.
+// media library. Execution dispatches once, on the predecoded DecodedOp's
+// opcode (see sim/image.hpp): register indices were resolved at lowering
+// time, and each opcode's case has its memory width and sign or packed
+// form as constants, so the interpreter touches no OpInfo tables.
 #pragma once
 
 #include <array>

@@ -1,96 +1,49 @@
 #include "sim/image.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/error.hpp"
 
 namespace vuv {
 
+SlotLayout::SlotLayout(const MachineConfig& cfg) {
+  // Mirrors the register-file sizing of Cpu::run's CpuState exactly.
+  const u32 ni = static_cast<u32>(cfg.int_regs);
+  const u32 ns = static_cast<u32>(std::max(cfg.simd_regs, 1));
+  const u32 nv = static_cast<u32>(std::max(cfg.vec_regs, 1));
+  const u32 na = static_cast<u32>(std::max(cfg.acc_regs, 1));
+  // DecodedOp stores slots as Slot and register indices as i16.
+  if (std::max({ni, ns, nv, na}) >
+      static_cast<u32>(std::numeric_limits<i16>::max()))
+    throw InternalError("register file too large for the execution image");
+  off_int = 0;
+  off_simd = off_int + ni;
+  off_vfull = off_simd + ns;
+  off_acc = off_vfull + nv;
+  off_vchain = off_acc + na;
+  slot_vl = off_vchain + nv;
+  slot_vs = slot_vl + 1;
+  n_slots = slot_vs + 1;
+  if (n_slots >= kNoSlot)
+    throw InternalError("scoreboard needs " + std::to_string(n_slots) +
+                        " slots; the execution image holds fewer than " +
+                        std::to_string(kNoSlot));
+}
+
+Slot SlotLayout::of(const Reg& r) const {
+  // The constructor bounds every slot below kNoSlot.
+  const u32 id = static_cast<u32>(r.id);
+  switch (r.cls) {
+    case RegClass::kInt: return static_cast<Slot>(off_int + id);
+    case RegClass::kSimd: return static_cast<Slot>(off_simd + id);
+    case RegClass::kVreg: return static_cast<Slot>(off_vfull + id);
+    case RegClass::kAcc: return static_cast<Slot>(off_acc + id);
+    default: return kNoSlot;
+  }
+}
+
 namespace {
-
-struct SlotLayout {
-  u32 off_int, off_simd, off_vfull, off_acc, off_vchain, slot_vl, slot_vs;
-  u32 n_slots;
-
-  explicit SlotLayout(const MachineConfig& cfg) {
-    // Mirrors the register-file sizing of Cpu::run's CpuState exactly.
-    const u32 ni = static_cast<u32>(cfg.int_regs);
-    const u32 ns = static_cast<u32>(std::max(cfg.simd_regs, 1));
-    const u32 nv = static_cast<u32>(std::max(cfg.vec_regs, 1));
-    const u32 na = static_cast<u32>(std::max(cfg.acc_regs, 1));
-    // DecodedOp stores slots as Slot and register indices as i16.
-    if (std::max({ni, ns, nv, na}) >
-        static_cast<u32>(std::numeric_limits<i16>::max()))
-      throw InternalError("register file too large for the execution image");
-    off_int = 0;
-    off_simd = off_int + ni;
-    off_vfull = off_simd + ns;
-    off_acc = off_vfull + nv;
-    off_vchain = off_acc + na;
-    slot_vl = off_vchain + nv;
-    slot_vs = slot_vl + 1;
-    n_slots = slot_vs + 1;
-    if (n_slots >= kNoSlot)
-      throw InternalError("scoreboard needs " + std::to_string(n_slots) +
-                          " slots; the execution image holds fewer than " +
-                          std::to_string(kNoSlot));
-  }
-};
-
-ExecKind kind_of(Opcode o) {
-  if (o >= Opcode::M_PADDB && o <= Opcode::M_PSHUFH) return ExecKind::kPacked;
-  if (o >= Opcode::V_PADDB && o <= Opcode::V_PSHUFH)
-    return ExecKind::kVecPacked;
-  switch (o) {
-    case Opcode::LDB:
-    case Opcode::LDBU:
-    case Opcode::LDH:
-    case Opcode::LDHU:
-    case Opcode::LDW:
-    case Opcode::LDD:
-    case Opcode::LDQS: return ExecKind::kLoad;
-    case Opcode::STB:
-    case Opcode::STH:
-    case Opcode::STW:
-    case Opcode::STD: return ExecKind::kStoreInt;
-    case Opcode::STQS: return ExecKind::kStoreSimd;
-    case Opcode::BEQ:
-    case Opcode::BNE:
-    case Opcode::BLT:
-    case Opcode::BGE:
-    case Opcode::BLTU:
-    case Opcode::BGEU: return ExecKind::kBranch;
-    case Opcode::JMP: return ExecKind::kJump;
-    case Opcode::HALT: return ExecKind::kHalt;
-    case Opcode::VLD: return ExecKind::kVld;
-    case Opcode::VST: return ExecKind::kVst;
-    case Opcode::VSADACC: return ExecKind::kVsadacc;
-    case Opcode::VMACH: return ExecKind::kVmach;
-    case Opcode::SETVLI:
-    case Opcode::SETVL: return ExecKind::kSetVl;
-    case Opcode::SETVSI:
-    case Opcode::SETVS: return ExecKind::kSetVs;
-    default: return ExecKind::kScalarAlu;
-  }
-}
-
-void set_mem_shape(DecodedOp& d) {
-  switch (d.op) {
-    case Opcode::LDB: d.mem_bytes = 1; d.mem_sign = true; break;
-    case Opcode::LDBU: d.mem_bytes = 1; break;
-    case Opcode::LDH: d.mem_bytes = 2; d.mem_sign = true; break;
-    case Opcode::LDHU: d.mem_bytes = 2; break;
-    case Opcode::LDW: d.mem_bytes = 4; d.mem_sign = true; break;
-    case Opcode::LDD:
-    case Opcode::LDQS: d.mem_bytes = 8; break;
-    case Opcode::STB: d.mem_bytes = 1; break;
-    case Opcode::STH: d.mem_bytes = 2; break;
-    case Opcode::STW: d.mem_bytes = 4; break;
-    case Opcode::STD:
-    case Opcode::STQS: d.mem_bytes = 8; break;
-    default: break;
-  }
-}
 
 /// µop-count coefficients: dynamic µops = fixed + per_vl * effective VL
 /// (paper §3.1 sub-word accounting; the formulas of the interpretive
@@ -131,18 +84,8 @@ DecodedOp lower_op(const Operation& op, const SlotLayout& lay,
                    const MachineConfig& cfg) {
   const OpInfo& info = op.info();
   DecodedOp d;
-  d.kind = kind_of(op.op);
   d.op = op.op;
-  // Whether a packed op takes the shift/shuffle form is a property of its
-  // opcode, hoisted here out of packed_eval. A vector op's form follows
-  // from its base opcode, which execution switches on anyway.
-  if (d.kind == ExecKind::kVecPacked)
-    d.vbase = vector_base_op(op.op);
-  else if (d.kind == ExecKind::kPacked)
-    d.packed_shift = info.flags.has_imm || op.op == Opcode::M_PSHUFH;
-  set_mem_shape(d);
   set_uop_shape(d);
-  d.nsrc = info.nsrc;
   for (size_t s = 0; s < d.src.size(); ++s)
     d.src[s] = static_cast<i16>(op.src[s].id);
   d.dst = op.dst;
@@ -159,42 +102,21 @@ DecodedOp lower_op(const Operation& op, const SlotLayout& lay,
 
   // Read-dependency scoreboard slots, chaining resolved statically: a
   // vector consumer of a vector register waits only for the chain point.
-  // SlotLayout bounds every slot below kNoSlot.
-  const auto slot = [](u32 s) { return static_cast<Slot>(s); };
   for (u8 s = 0; s < info.nsrc; ++s) {
     const Reg r = op.src[s];
-    if (!r.valid()) continue;
-    const u32 id = static_cast<u32>(r.id);
-    switch (r.cls) {
-      case RegClass::kInt: d.ready[d.n_ready++] = slot(lay.off_int + id); break;
-      case RegClass::kSimd:
-        d.ready[d.n_ready++] = slot(lay.off_simd + id);
-        break;
-      case RegClass::kVreg:
-        d.ready[d.n_ready++] = slot((info.flags.vector && cfg.chaining)
-                                        ? lay.off_vchain + id
-                                        : lay.off_vfull + id);
-        break;
-      case RegClass::kAcc: d.ready[d.n_ready++] = slot(lay.off_acc + id); break;
-      default: break;
-    }
+    const Slot slot = lay.of(r);
+    if (slot == kNoSlot) continue;
+    d.ready[d.n_ready++] =
+        (r.cls == RegClass::kVreg && info.flags.vector && cfg.chaining)
+            ? static_cast<Slot>(lay.off_vchain + static_cast<u32>(r.id))
+            : slot;
   }
-  if (info.flags.reads_vl) d.ready[d.n_ready++] = slot(lay.slot_vl);
-  if (info.flags.reads_vs) d.ready[d.n_ready++] = slot(lay.slot_vs);
+  if (info.flags.reads_vl) d.ready[d.n_ready++] = static_cast<Slot>(lay.slot_vl);
+  if (info.flags.reads_vs) d.ready[d.n_ready++] = static_cast<Slot>(lay.slot_vs);
 
-  if (op.dst.valid()) {
-    const u32 id = static_cast<u32>(op.dst.id);
-    switch (op.dst.cls) {
-      case RegClass::kInt: d.wb_full = slot(lay.off_int + id); break;
-      case RegClass::kSimd: d.wb_full = slot(lay.off_simd + id); break;
-      case RegClass::kVreg:
-        d.wb_full = slot(lay.off_vfull + id);
-        d.wb_chain = slot(lay.off_vchain + id);
-        break;
-      case RegClass::kAcc: d.wb_full = slot(lay.off_acc + id); break;
-      default: break;
-    }
-  }
+  d.wb_full = lay.of(op.dst);
+  if (op.dst.cls == RegClass::kVreg)
+    d.wb_chain = static_cast<Slot>(lay.off_vchain + static_cast<u32>(op.dst.id));
   return d;
 }
 
@@ -218,9 +140,25 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
   im.words.reserve(static_cast<size_t>(sp.static_words()));
   im.ops.reserve(static_cast<size_t>(prog.static_ops()));
 
+  // The skip rule's state, per slot: the block whose op last wrote it and
+  // the static cycle from which that write is ready in every execution of
+  // the block (kDynamic when a memory or VL-dependent op wrote it). Within
+  // one execution of a block, lockstep issue keeps every word at least its
+  // static distance after each earlier word, so a slot whose write is
+  // statically ready by a word's cycle is ready by that word's base issue
+  // time and can never bind it (DESIGN.md, "Replay skips issue checks that
+  // cannot bind").
+  constexpr Cycle kDynamic = std::numeric_limits<Cycle>::max();
+  struct LastWrite {
+    u32 block = std::numeric_limits<u32>::max();
+    Cycle ready = kDynamic;
+  };
+  std::vector<LastWrite> last(lay.n_slots);
+
   for (size_t b = 0; b < prog.blocks.size(); ++b) {
     const BasicBlock& blk = prog.blocks[b];
     const BlockSchedule& bs = sp.blocks[b];
+    const u32 bi = static_cast<u32>(b);
     DecodedBlock db;
     db.word_begin = static_cast<u32>(im.words.size());
     db.fallthrough = blk.fallthrough;
@@ -232,10 +170,33 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
       dw.op_begin = static_cast<u32>(im.ops.size());
       i32 fu_need[7] = {0, 0, 0, 0, 0, 0, 0};
       for (i32 oi : w.ops) {
-        const DecodedOp d =
-            lower_op(blk.ops[static_cast<size_t>(oi)], lay, cfg);
+        DecodedOp d = lower_op(blk.ops[static_cast<size_t>(oi)], lay, cfg);
+        // Stable partition: the slots that can bind first, then the rest.
+        std::array<Slot, 5> skipped;
+        u8 n_skipped = 0;
+        d.n_check = 0;
+        for (u8 s = 0; s < d.n_ready; ++s) {
+          const LastWrite& lw = last[d.ready[s]];
+          if (lw.block == bi && lw.ready <= w.cycle)
+            skipped[n_skipped++] = d.ready[s];
+          else
+            d.ready[d.n_check++] = d.ready[s];
+        }
+        std::copy_n(skipped.begin(), n_skipped, d.ready.begin() + d.n_check);
         ++fu_need[d.fu];
         im.ops.push_back(d);
+      }
+      // The word's own writes land after all of its reads.
+      for (size_t k = 0; k < w.ops.size(); ++k) {
+        const OpInfo& info = blk.ops[static_cast<size_t>(w.ops[k])].info();
+        const DecodedOp& d = im.ops[dw.op_begin + k];
+        const bool dynamic = info.flags.mem_load || info.flags.mem_store ||
+                             info.flags.vector;
+        const LastWrite lw{bi, dynamic ? kDynamic : w.cycle + d.latency};
+        if (d.wb_full != kNoSlot) last[d.wb_full] = lw;
+        if (d.wb_chain != kNoSlot) last[d.wb_chain] = lw;
+        if (d.sets_vl) last[lay.slot_vl] = {bi, w.cycle + 1};
+        if (d.sets_vs) last[lay.slot_vs] = {bi, w.cycle + 1};
       }
       dw.op_end = static_cast<u32>(im.ops.size());
       im.max_word_ops =

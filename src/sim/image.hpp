@@ -8,14 +8,17 @@
 // on the *static* program and configuration. The image hoists that work to
 // construction time:
 //
-//   - every Operation becomes a DecodedOp: an ExecKind for direct dispatch,
-//     pre-cast source/destination register indices, prebaked memory access
-//     width/sign, latency, FU class and µop-count coefficients;
+//   - every Operation becomes a DecodedOp: its opcode (the one dispatch
+//     key execution switches on), pre-cast source/destination register
+//     indices, latency, FU class and µop-count coefficients;
 //   - every source dependency becomes a slot index into one flat scoreboard
 //     array (int/simd/vreg-full/acc/vreg-chain/VL/VS concatenated), with
 //     vector chaining resolved statically (whether a vreg consumer waits on
 //     the chain point or the full value is a property of the op and the
 //     configuration, not of the dynamic run);
+//   - the slots no run-time event can make late come last in each op's
+//     `ready` list, past `n_check`, so issue never checks them (DESIGN.md,
+//     "Replay skips issue checks that cannot bind");
 //   - every VliwWord becomes a DecodedWord carrying its precomputed per-FU-
 //     class demand, so issue-time resource checks touch no per-op metadata.
 //
@@ -29,55 +32,49 @@
 
 namespace vuv {
 
-/// Top-level dispatch class of a decoded operation. Kinds exist where
-/// predecoding buys something (memory width/sign, packed base opcode);
-/// low-frequency scalar ops share kScalarAlu with an inner opcode switch.
-enum class ExecKind : u8 {
-  kScalarAlu,  // int ALU, SIMD moves, PEXTRH/PINSRH, SUMAC*, CLRACC
-  kLoad,       // LDB..LDD, LDQS: width/sign prebaked, dst class in `dst`
-  kStoreInt,   // STB..STD
-  kStoreSimd,  // STQS
-  kBranch,     // BEQ..BGEU (condition = original opcode)
-  kJump,
-  kHalt,
-  kPacked,     // M_* on SIMD registers
-  kVecPacked,  // V_* on vector registers (base µSIMD opcode prebaked)
-  kVld,
-  kVst,
-  kVsadacc,
-  kVmach,
-  kSetVl,      // SETVLI/SETVL
-  kSetVs,      // SETVSI/SETVS
-};
-
 /// Index into the flat per-Cpu scoreboard. lower_image rejects a layout
 /// of kNoSlot or more slots; the largest Table-2 layout has 261 (uSIMD-8w).
 using Slot = u16;
 inline constexpr Slot kNoSlot = 0xffff;
 
+/// The flat scoreboard's layout under a configuration: one ready-time slot
+/// per register of each file (sized as Cpu::run sizes its CpuState), the
+/// vector-register chain points, then VL and VS. Throws InternalError when
+/// the files need kNoSlot or more slots, or a file holds more registers
+/// than an i16 indexes.
+struct SlotLayout {
+  u32 off_int, off_simd, off_vfull, off_acc, off_vchain, slot_vl, slot_vs;
+  u32 n_slots;
+
+  explicit SlotLayout(const MachineConfig& cfg);
+
+  /// The slot `r` occupies; a vreg gives its full-value slot. kNoSlot for
+  /// kNone and special registers (VL/VS are read through reads_vl/vs).
+  Slot of(const Reg& r) const;
+};
+
 /// One operation, fully resolved for replay. Register indices are pre-cast
 /// physical indices into the register file their opcode implies; scoreboard
 /// slots are indices into the flat per-Cpu ready-time array. Fields are
-/// ordered by size so an op packs into 64 bytes: an image holds one per
+/// ordered by size so an op packs into 56 bytes: an image holds one per
 /// static operation, and the replay loop streams through them.
 struct DecodedOp {
   i64 imm = 0;
   i32 target_block = -1;
   Reg dst;                     // invalid when the op writes no register
   std::array<i16, 3> src{{-1, -1, -1}};
-  std::array<Slot, 5> ready{}; // scoreboard slots gating issue (srcs, VL, VS)
+  // Scoreboard slots gating issue (sources, VL, VS). Issue checks only
+  // [0, n_check); each slot in [n_check, n_ready) was last written by an
+  // earlier word of the same block whose ready time the lockstep schedule
+  // already covers, so it can never bind (see lower_image).
+  std::array<Slot, 5> ready{};
   Slot wb_full = kNoSlot;      // slot receiving the full-result ready time
   Slot wb_chain = kNoSlot;     // vreg dests: slot receiving the chain point
-  Opcode op = Opcode::HALT;    // original opcode (inner dispatch)
-  Opcode vbase = Opcode::HALT; // kVecPacked: µSIMD base opcode
-  ExecKind kind = ExecKind::kHalt;
-  u8 mem_bytes = 0;            // kLoad/kStore*: access width
-  u8 nsrc = 0;
+  Opcode op = Opcode::HALT;    // the execution dispatch key
   u8 fu = 0;                   // FuClass the op occupies (0 = none)
   u8 latency = 0;
   u8 n_ready = 0;              // read-dependency slots in `ready`
-  bool packed_shift = false;   // kPacked: shift/shuffle form
-  bool mem_sign = false;       // kLoad: sign-extend
+  u8 n_check = 0;              // leading slots of `ready` issue checks
   bool is_vector = false;      // executes VL sub-operations
   bool sets_vl = false, sets_vs = false;
   // Dynamic µops = uop_fixed + uop_per_vl * (effective VL); at most 8 each.
@@ -124,8 +121,11 @@ struct ExecImage {
 /// Lower a scheduled program for simulation under `cfg`. `cfg` must have
 /// the same schedule_signature as sp.cfg; chaining, register-file sizes and
 /// functional-unit counts are baked into the image, no `mem` field is.
-/// Throws InternalError when the register files need kNoSlot or more
-/// scoreboard slots, or a file holds more registers than an i16 indexes.
+/// Each op's `ready` is stably partitioned: a slot goes past `n_check`
+/// exactly when its last writer is an earlier word of the same block, is
+/// neither a memory op nor VL-dependent, and the two words' static cycles
+/// differ by at least that writer's latency (1 for VL/VS). Throws
+/// InternalError as SlotLayout does.
 ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg);
 
 }  // namespace vuv

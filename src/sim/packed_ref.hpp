@@ -1,11 +1,10 @@
 // Semantics of the µSIMD packed operations on one 64-bit word — the single
 // definition of what every packed op means in the simulator.
 //
-// sim/exec.cpp is the only consumer, in two forms:
-//   - scalar M_* ops evaluate one word per op with a runtime opcode;
-//   - vector V_* ops switch once on the base opcode and instantiate these
-//     functions with a compile-time opcode over the VL elements, so the big
-//     switch folds away inside the element loop.
+// sim/exec.cpp is the only consumer: its one opcode switch instantiates
+// these functions with a compile-time opcode, once per M_* op on one word
+// and once per V_* op over the VL elements, so the big switch folds away
+// (packed_eval, for tests and benches, keeps a runtime opcode).
 //
 // Everything here is pure value computation: no state, no memory, no
 // timing. src/ref/interp.cpp implements the same semantics independently,

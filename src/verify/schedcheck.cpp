@@ -697,6 +697,50 @@ void check_regalloc(const ScheduledProgram& sp, const Program& src,
   }
 }
 
+/// The scoreboard slots `op` reads under `cfg`, derived from the operation
+/// as replay must see them: a vector consumer of a vector register waits
+/// on its chain point when chaining is on, VL/VS reads take their slots.
+std::vector<Slot> read_slots(const Operation& op, const SlotLayout& lay,
+                             const MachineConfig& cfg) {
+  const OpInfo& info = op.info();
+  std::vector<Slot> slots;
+  for (u8 s = 0; s < info.nsrc; ++s) {
+    const Reg& r = op.src[s];
+    if (r.cls == RegClass::kVreg && info.flags.vector && cfg.chaining)
+      slots.push_back(static_cast<Slot>(lay.off_vchain + static_cast<u32>(r.id)));
+    else if (const Slot slot = lay.of(r); slot != kNoSlot)
+      slots.push_back(slot);
+  }
+  if (info.flags.reads_vl) slots.push_back(static_cast<Slot>(lay.slot_vl));
+  if (info.flags.reads_vs) slots.push_back(static_cast<Slot>(lay.slot_vs));
+  return slots;
+}
+
+/// The last write to one scoreboard slot within the block being checked.
+struct SlotWrite {
+  const Operation* by = nullptr;  // null: not written in this block yet
+  Cycle ready = 0;       // static cycle from which replay sees the value
+  bool dynamic = true;   // a memory or VL-dependent op wrote it
+};
+
+/// Record the slot writes of `op`, issued at static `cycle`.
+void record_writes(const Operation& op, Cycle cycle, const SlotLayout& lay,
+                   std::vector<SlotWrite>& last) {
+  const OpInfo& info = op.info();
+  const bool dynamic =
+      info.flags.mem_load || info.flags.mem_store || info.flags.vector;
+  const SlotWrite write{&op, cycle + info.latency, dynamic};
+  if (const Slot slot = lay.of(op.dst); slot != kNoSlot) last[slot] = write;
+  if (op.dst.cls == RegClass::kVreg)
+    last[lay.off_vchain + static_cast<u32>(op.dst.id)] = write;
+  // Replay makes VL/VS visible one cycle after their writer issues.
+  const Reg special = written_special(op);
+  if (special.valid()) {
+    const u32 slot = special.id == kSpecialVl ? lay.slot_vl : lay.slot_vs;
+    last[slot] = {&op, cycle + 1, false};
+  }
+}
+
 }  // namespace
 
 DiagReport check_schedule(const ScheduledProgram& sp, const Program* source,
@@ -737,8 +781,25 @@ DiagReport check_image(const ScheduledProgram& sp, const ExecImage& image,
   if (image.signature != schedule_signature(sp.cfg))
     diag(-1, "schedule signature differs from the schedule's configuration");
 
+  // The skip rule, re-derived from the schedule: each op's `ready` must be
+  // exactly the slots its operation reads, and each slot past `n_check`
+  // must have been last written by an earlier word of the same block that
+  // is neither a memory op nor VL-dependent and is statically ready by the
+  // reading word's cycle.
+  const SlotLayout lay(sp.cfg);
+  if (image.n_slots != lay.n_slots || image.slot_vl != lay.slot_vl ||
+      image.slot_vs != lay.slot_vs)
+    diag(-1, "scoreboard layout differs from the configuration's");
+  auto unsafe = [&](i32 b, i32 w, size_t k, const std::string& msg) {
+    out.add(Severity::kError, "image-unsafe-skip", opts.unit, b, -1,
+            "op " + std::to_string(k) + " of word " + std::to_string(w) +
+                ": " + msg);
+  };
+  std::vector<SlotWrite> last(lay.n_slots);
+
   u32 expect_word = 0;
   for (size_t b = 0; b < image.blocks.size(); ++b) {
+    std::fill(last.begin(), last.end(), SlotWrite{});
     const DecodedBlock& db = image.blocks[b];
     const BlockSchedule& bs = sp.blocks[b];
     const BasicBlock& blk = sp.prog.blocks[b];
@@ -777,7 +838,43 @@ DiagReport check_image(const ScheduledProgram& sp, const ExecImage& image,
           continue;
         }
         ++need[static_cast<size_t>(op.info().fu)];
+
+        const i32 wi = static_cast<i32>(w);
+        if (dop.n_ready > dop.ready.size() || dop.n_check > dop.n_ready) {
+          unsafe(bi, wi, k, "n_check " + std::to_string(dop.n_check) +
+                                " / n_ready " + std::to_string(dop.n_ready) +
+                                " out of range");
+          continue;
+        }
+        std::vector<Slot> reads = read_slots(op, lay, sp.cfg);
+        std::vector<Slot> baked(dop.ready.begin(),
+                                dop.ready.begin() + dop.n_ready);
+        std::sort(reads.begin(), reads.end());
+        std::sort(baked.begin(), baked.end());
+        if (reads != baked) {
+          unsafe(bi, wi, k, "ready slots are not the slots '" +
+                                vuv::to_string(op) + "' reads");
+          continue;
+        }
+        for (u8 s = dop.n_check; s < dop.n_ready; ++s) {
+          const SlotWrite& lw = last[dop.ready[s]];
+          std::string why;
+          if (lw.by == nullptr)
+            why = "is not written earlier in the block";
+          else if (lw.dynamic)
+            why = "was last written by '" + vuv::to_string(*lw.by) +
+                  "', a memory or VL-dependent op";
+          else if (lw.ready > sw.cycle)
+            why = "is ready at static cycle " + std::to_string(lw.ready) +
+                  ", after the word's " + std::to_string(sw.cycle);
+          if (!why.empty())
+            unsafe(bi, wi, k,
+                   "skipped slot " + std::to_string(dop.ready[s]) + " " + why);
+        }
       }
+      // The word's own writes land after all of its reads.
+      for (const i32 oi : sw.ops)
+        record_writes(blk.ops[static_cast<size_t>(oi)], sw.cycle, lay, last);
       // Recount per-word FU demand against the baked fu_need table.
       std::array<i32, 7> baked{};
       for (u8 k = 0; k < dw.n_fu; ++k)

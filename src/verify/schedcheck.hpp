@@ -25,7 +25,14 @@
 //   regalloc-interference  two overlapping live intervals share a phys reg
 //   image-mismatch         the predecoded image disagrees with the schedule
 //                          (op order, word boundaries, per-word FU demand,
-//                          region names, schedule signature)
+//                          region names, schedule signature, scoreboard
+//                          layout)
+//   image-unsafe-skip      an op's `ready` slots are not the slots its
+//                          operation reads, or a slot replay skips (past
+//                          `n_check`) was not last written by an earlier
+//                          word of the block that is neither a memory op nor
+//                          VL-dependent and ready by the reading word's
+//                          static cycle
 #pragma once
 
 #include "sched/schedule.hpp"
@@ -47,8 +54,9 @@ DiagReport check_schedule(const ScheduledProgram& sp, const Program* source,
                           const SchedCheckOptions& opts = {});
 
 /// Check that `image` is a faithful lowering of `sp` (op order, word
-/// boundaries, per-word functional-unit demand, and the region names and
-/// schedule signature replay reads in place of the schedule).
+/// boundaries, per-word functional-unit demand, the region names and
+/// schedule signature replay reads in place of the schedule, and each op's
+/// issue-check slots, including the proof of every skipped one).
 DiagReport check_image(const ScheduledProgram& sp, const ExecImage& image,
                        const SchedCheckOptions& opts = {});
 

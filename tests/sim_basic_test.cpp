@@ -2,6 +2,7 @@
 // pipeline on small programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -260,6 +261,70 @@ TEST(SimBasic, LowerImageRejectsScoreboardBeyondSlotWidth) {
   cfg.vec_regs = 1;
   cfg.int_regs = 40000;  // few enough slots, but indices past i16
   EXPECT_THROW(lower_image(compile(prog, cfg), cfg), InternalError);
+}
+
+/// The image op of `opcode` (first, or the one with immediate `imm`) and
+/// the block holding it.
+struct FoundOp {
+  const DecodedOp* op = nullptr;
+  size_t block = 0;
+};
+FoundOp find_op(const ExecImage& im, Opcode opcode, i64 imm = -1) {
+  for (size_t b = 0; b < im.blocks.size(); ++b)
+    for (u32 w = im.blocks[b].word_begin; w != im.blocks[b].word_end; ++w)
+      for (u32 o = im.words[w].op_begin; o != im.words[w].op_end; ++o)
+        if (im.ops[o].op == opcode && (imm < 0 || im.ops[o].imm == imm))
+          return {&im.ops[o], b};
+  return {};
+}
+
+// Issue checks only the slots a run-time event can make late (see
+// lower_image): a load's result stays checked however early the load was
+// scheduled, while an ALU result from an earlier word of the same block,
+// at least its latency earlier, is skipped.
+TEST(SimBasic, SkipRuleChecksLoadFedSlotAndSkipsAluFedSlot) {
+  Workspace ws;
+  Buffer buf = ws.alloc(16);
+  ProgramBuilder b;
+  Reg base = b.movi(buf.addr);
+  Reg loaded = b.ldd(base, 0, buf.group);
+  Reg five = b.movi(5);
+  b.std_(b.add(loaded, five), base, 8, buf.group);
+  const MachineConfig cfg = MachineConfig::vliw(2);
+  const ExecImage im = lower_image(compile(b.take(), cfg), cfg);
+
+  const FoundOp ld = find_op(im, Opcode::LDD);
+  const FoundOp mv = find_op(im, Opcode::MOVI, 5);
+  const FoundOp add = find_op(im, Opcode::ADD);
+  ASSERT_TRUE(ld.op && mv.op && add.op);
+  ASSERT_EQ(add.block, mv.block);
+  ASSERT_EQ(add.op->n_ready, 2);
+  EXPECT_EQ(add.op->n_check, 1);
+  EXPECT_EQ(add.op->ready[0], ld.op->wb_full);  // checked: the load's
+  EXPECT_EQ(add.op->ready[1], mv.op->wb_full);  // skipped: the movi's
+}
+
+// A value written in an earlier block stays checked: the skip rule's
+// lockstep argument holds only within one execution of a block.
+TEST(SimBasic, SkipRuleChecksValueFromEarlierBlock) {
+  Workspace ws;
+  Buffer out = ws.alloc(8);
+  ProgramBuilder b;
+  Reg base = b.movi(out.addr);
+  Reg five = b.movi(5);
+  Reg acc = b.movi(0);
+  b.for_range(0, 3, 1, [&](Reg) { b.mov_to(acc, b.add(acc, five)); });
+  b.std_(acc, base, 0, out.group);
+  const MachineConfig cfg = MachineConfig::vliw(2);
+  const ExecImage im = lower_image(compile(b.take(), cfg), cfg);
+
+  const FoundOp mv = find_op(im, Opcode::MOVI, 5);
+  const FoundOp add = find_op(im, Opcode::ADD);
+  ASSERT_TRUE(mv.op && add.op);
+  ASSERT_NE(add.block, mv.block);
+  const auto checked = add.op->ready.begin() + add.op->n_check;
+  EXPECT_NE(std::find(add.op->ready.begin(), checked, mv.op->wb_full), checked)
+      << "the loop body's read of a value from the entry block is skipped";
 }
 
 }  // namespace

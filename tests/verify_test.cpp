@@ -386,6 +386,69 @@ TEST(SchedCheck, RejectsImageWithWrongSignature) {
   EXPECT_GE(r.count_rule("image-mismatch"), 1) << r.summary();
 }
 
+// Strict mode proves the issue-check skip rule on real programs: every
+// Table-1 app, in each ISA variant, lowers to an image whose skipped slots
+// (ready[n_check..n_ready)) the checker re-derives from the schedule.
+TEST(SchedCheck, ImageSkipRuleHoldsOnEveryTable1App) {
+  const MachineConfig cfgs[] = {MachineConfig::vliw(2),
+                                MachineConfig::musimd(2),
+                                MachineConfig::vector2(2)};
+  for (App app : table1_apps())
+    for (const MachineConfig& cfg : cfgs) {
+      SCOPED_TRACE(std::string(app_name(app)) + " on " + cfg.name);
+      BuiltApp built = build_app(app, variant_for(cfg.isa));
+      const ScheduledProgram sp = compile(std::move(built.program), cfg);
+      const ExecImage img = lower_image(sp, cfg);
+      const DiagReport r = check_image(sp, img);
+      EXPECT_EQ(r.errors(), 0) << r.summary();
+      i64 skipped = 0;
+      for (const DecodedOp& d : img.ops) skipped += d.n_ready - d.n_check;
+      EXPECT_GT(skipped, 0) << "the rule skipped no slot";
+    }
+}
+
+/// A load result read two words later: its slot must stay checked.
+Program load_fed_program() {
+  ProgramBuilder b;
+  Reg base = b.movi(0);
+  Reg x = b.ldd(base, 0, 1);
+  b.std_(b.add(x, x), base, 8, 1);
+  return b.take();
+}
+
+TEST(SchedCheck, RejectsSkippedLoadFedSlot) {
+  const MachineConfig cfg = MachineConfig::vliw(2);
+  const ScheduledProgram sp = compile(load_fed_program(), cfg);
+  ExecImage img = lower_image(sp, cfg);
+  ASSERT_EQ(check_image(sp, img).errors(), 0);
+  bool corrupted = false;
+  for (DecodedOp& d : img.ops)
+    if (d.op == Opcode::ADD && !corrupted) {
+      ASSERT_EQ(d.n_check, 2);  // both sources are the load's result
+      d.n_check = 1;            // skip one of them
+      corrupted = true;
+    }
+  ASSERT_TRUE(corrupted);
+  const DiagReport r = check_image(sp, img);
+  EXPECT_GE(r.count_rule("image-unsafe-skip"), 1) << r.summary();
+}
+
+TEST(SchedCheck, RejectsImageWithDroppedReadySlot) {
+  const MachineConfig cfg = MachineConfig::vliw(2);
+  const ScheduledProgram sp = compile(load_fed_program(), cfg);
+  ExecImage img = lower_image(sp, cfg);
+  bool corrupted = false;
+  for (DecodedOp& d : img.ops)
+    if (d.op == Opcode::ADD && !corrupted) {
+      --d.n_ready;  // the op no longer waits on its second source
+      d.n_check = std::min(d.n_check, d.n_ready);
+      corrupted = true;
+    }
+  ASSERT_TRUE(corrupted);
+  const DiagReport r = check_image(sp, img);
+  EXPECT_GE(r.count_rule("image-unsafe-skip"), 1) << r.summary();
+}
+
 TEST(SchedCheck, StrictCompileRejectsLintError) {
   ProgramBuilder b;
   Reg c = b.movi(20);

@@ -60,24 +60,6 @@ const cli::Usage kUsage{
         "vuv_fuzz --dump-dir corpus --seeds 0:20   # write programs as corpus files",
     }};
 
-/// The per-seed machine rotation: every Table-2 configuration of the
-/// variant's ISA level gets coverage across a seed range.
-const std::vector<MachineConfig>& configs_for(Variant v) {
-  static const std::vector<MachineConfig> scalar = {
-      MachineConfig::vliw(2), MachineConfig::vliw(4), MachineConfig::vliw(8)};
-  static const std::vector<MachineConfig> musimd = {
-      MachineConfig::musimd(2), MachineConfig::musimd(4),
-      MachineConfig::musimd(8)};
-  static const std::vector<MachineConfig> vector = {
-      MachineConfig::vector1(2), MachineConfig::vector1(4),
-      MachineConfig::vector2(2), MachineConfig::vector2(4)};
-  switch (v) {
-    case Variant::kScalar: return scalar;
-    case Variant::kMusimd: return musimd;
-    default: return vector;
-  }
-}
-
 struct CellResult {
   DiffReport rep;
   std::string cfg_name;
@@ -173,7 +155,7 @@ bool fuzz_variant(Variant v, i64 seed_lo, i64 seed_hi, i32 atoms,
                   const std::string& mode, const std::string& out_path,
                   bool do_shrink, const std::string& dump_dir,
                   InterpFault fault, bool lint, FuzzStats& stats) {
-  const std::vector<MachineConfig>& cfgs = configs_for(v);
+  const std::vector<MachineConfig>& cfgs = fuzz_configs(v);
   for (i64 seed = seed_lo; seed < seed_hi; ++seed) {
     GenOptions gopts;
     gopts.variant = v;
@@ -252,7 +234,7 @@ bool self_test(i32 atoms) {
       {InterpFault::kSrajIgnoresImm, Variant::kScalar, "srai-ignores-imm/scalar"},
   };
   for (const Case& c : cases) {
-    const std::vector<MachineConfig>& cfgs = configs_for(c.variant);
+    const std::vector<MachineConfig>& cfgs = fuzz_configs(c.variant);
     bool caught = false;
     for (i64 seed = 0; seed < 200 && !caught; ++seed) {
       GenOptions gopts;
@@ -354,7 +336,7 @@ int main(int argc, char** argv) {
           std::cerr << "[vuv_fuzz] replay LINT ERROR: " << err << "\n";
         }
       }
-      for (const MachineConfig& cfg : configs_for(p.variant)) {
+      for (const MachineConfig& cfg : fuzz_configs(p.variant)) {
         const CellResult cell =
             check_program(p, cfg, mode, InterpFault::kNone, lint);
         if (!cell.rep.ok) {

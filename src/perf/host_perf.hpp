@@ -27,6 +27,13 @@ struct HostPerf {
   i64 simulated_cycles = 0;        // sum over cells
   double cycles_per_second = 0.0;  // simulated cycles per host wall second
   std::vector<CellPerf> cell;
+  // Where the time went, from the run's own metrics registry (not written
+  // to PERF_host.json): compiles (compile_cache.build_us, unit builds
+  // included), of those the unit builds (compile_cache.unit_us), and cell
+  // simulations (the sum of CellPerf::wall_ms).
+  double compile_seconds = 0.0;
+  double unit_build_seconds = 0.0;
+  double simulate_seconds = 0.0;
 };
 
 /// Run `spec` on a fresh Runner (fresh compile cache — compiles are part of
@@ -43,7 +50,9 @@ void write_host_perf_json(std::ostream& os, const HostPerf& perf,
                           const std::string& name);
 
 /// Minimal reader for a committed baseline: extracts the top-level
-/// "wall_seconds" field of a PERF_host.json. Throws Error when absent.
-double read_baseline_wall_seconds(std::istream& is);
+/// "wall_seconds" field of the PERF_host.json at `path`. Throws Error,
+/// naming the file and the value, unless the file is readable and the
+/// field is a finite number above 0.
+double read_baseline_wall_seconds(const std::string& path);
 
 }  // namespace vuv

@@ -16,6 +16,12 @@ std::string unit_name(App app, Variant variant) {
   return unit;
 }
 
+i64 micros_since(std::chrono::steady_clock::time_point started) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - started)
+      .count();
+}
+
 i64 image_bytes(const ExecImage& im) {
   return static_cast<i64>(im.ops.size() * sizeof(DecodedOp) +
                           im.words.size() * sizeof(DecodedWord) +
@@ -31,14 +37,18 @@ void CompileCache::set_metrics(obs::Registry* metrics) {
     m_misses_ = nullptr;
     m_schedules_ = nullptr;
     m_build_us_ = nullptr;
+    m_unit_us_ = nullptr;
     m_bytes_ = nullptr;
+    m_plan_bytes_ = nullptr;
     return;
   }
   m_hits_ = &metrics->counter("compile_cache.hits");
   m_misses_ = &metrics->counter("compile_cache.misses");
   m_schedules_ = &metrics->counter("compile_cache.schedules");
   m_build_us_ = &metrics->histogram("compile_cache.build_us");
+  m_unit_us_ = &metrics->histogram("compile_cache.unit_us");
   m_bytes_ = &metrics->gauge("compile_cache.bytes");
+  m_plan_bytes_ = &metrics->gauge("compile_cache.plan_bytes");
 }
 
 std::string CompileCache::key(App app, Variant variant,
@@ -67,10 +77,19 @@ std::shared_ptr<const BuiltUnit> CompileCache::built_unit(
   }
   if (owner) {
     try {
+      const auto started = std::chrono::steady_clock::now();
       BuiltApp b = build_app(app, variant);
-      promise.set_value(std::make_shared<const BuiltUnit>(
-          BuiltUnit{std::move(b.name), std::move(b.program), std::move(*b.ws),
-                    std::move(b.verify)}));
+      // Neither reads a configuration, so they run once per unit, before
+      // any compile copies the program.
+      verify(b.program);
+      RegPlan plan = plan_registers(b.program);
+      const i64 plan_bytes = plan.bytes();
+      auto built = std::make_shared<const BuiltUnit>(
+          BuiltUnit{std::move(b.name), std::move(b.program), std::move(plan),
+                    std::move(*b.ws), std::move(b.verify)});
+      if (m_unit_us_) m_unit_us_->observe(micros_since(started));
+      if (m_plan_bytes_) m_plan_bytes_->add(plan_bytes);
+      promise.set_value(std::move(built));
     } catch (...) {
       promise.set_exception(std::current_exception());
     }
@@ -130,8 +149,8 @@ std::shared_ptr<const CompiledProgram> CompileCache::get(
       }
       {
         // The schedule lives only until lowered: replay reads the image.
-        const ScheduledProgram sp =
-            compile(Program(cp->unit->program), compile_cfg, copts);
+        const ScheduledProgram sp = compile(
+            Program(cp->unit->program), compile_cfg, cp->unit->plan, copts);
         cp->image = lower_image(sp, compile_cfg);
         if (strict) {
           const lint::DiagReport rep = lint::check_image(sp, cp->image, {unit});
@@ -140,10 +159,7 @@ std::shared_ptr<const CompiledProgram> CompileCache::get(
                                "): " + lint::to_string(*rep.first_error()));
         }
       }
-      if (m_build_us_)
-        m_build_us_->observe(std::chrono::duration_cast<std::chrono::microseconds>(
-                                 std::chrono::steady_clock::now() - started)
-                                 .count());
+      if (m_build_us_) m_build_us_->observe(micros_since(started));
       const i64 bytes = image_bytes(cp->image);
       {
         // Still present: release() leaves in-flight entries alone.

@@ -1,8 +1,10 @@
 // Thread-safe cache of compiled programs, keyed by (app, variant,
-// schedule_signature(cfg)) — see key(). Each app|variant unit is built
-// exactly once and stays resident, and each key is register-allocated,
-// scheduled and lowered to its predecoded execution image once while
-// resident, even under concurrent requests: the first requester builds or
+// schedule_signature(cfg)) — see key(). Each app|variant unit is built,
+// verified and register-planned (sched/regalloc.hpp) exactly once, since
+// none of the three reads a configuration, and stays resident with its
+// plan. Each key runs the linear scan against the unit's plan, is scheduled
+// and lowered to its predecoded execution image once while resident, even
+// under concurrent requests: the first requester builds or
 // compiles while later ones block on a shared_future for the same key. No
 // compile layer reads `mem` (the compiler assumes every access hits, paper
 // §3.3/§4.2), so the key leaves it out and every compile runs with `mem`
@@ -33,11 +35,13 @@
 
 namespace vuv {
 
-/// One app|variant build (build_app is config-independent), made once and
-/// shared read-only by every compile and simulation of the unit.
+/// One app|variant build (build_app is config-independent), made, verified
+/// and register-planned once and shared read-only by every compile and
+/// simulation of the unit.
 struct BuiltUnit {
   std::string name;
-  Program program;  // copied into each per-config compile
+  Program program;  // verified; copied into each per-config compile
+  RegPlan plan;     // plan_registers(program): each compile only scans
   Workspace ws;     // initial memory: each simulation runs on a copy
   BuiltApp::Verifier verify;
 };
@@ -78,8 +82,8 @@ class CompileCache {
   /// Drop the cache's reference to the compile of `key`; a later get()
   /// compiles it again. No-op for an absent key or a compile still in
   /// flight (that is a later requester's, which will use it). Units stay
-  /// resident. Only Runner::run calls this: prefetch, get and the daemon
-  /// cannot know whether a later request reuses a compile.
+  /// resident, plans included. Only Runner::run calls this: prefetch, get
+  /// and the daemon cannot know whether a later request reuses a compile.
   void release(const std::string& key);
 
   Stats stats() const;
@@ -100,9 +104,12 @@ class CompileCache {
   /// Mirror cache activity into a metrics registry (counters
   /// compile_cache.hits / compile_cache.misses as in Stats,
   /// compile_cache.schedules as compiled_programs(), histogram
-  /// compile_cache.build_us over those compiles, and gauge
+  /// compile_cache.build_us over those compiles, each including any unit
+  /// build it triggered or waited for, histogram compile_cache.unit_us over
+  /// unit builds — build_app, verify and plan_registers — gauge
   /// compile_cache.bytes: the image bytes — ops, words and blocks arrays —
-  /// of the compiles the cache holds, whose max is the peak footprint).
+  /// of the compiles the cache holds, whose max is the peak footprint, and
+  /// gauge compile_cache.plan_bytes: the register plans of resident units).
   /// The registry must outlive the cache; call before the first get().
   void set_metrics(obs::Registry* metrics);
 
@@ -130,7 +137,9 @@ class CompileCache {
   obs::Counter* m_misses_ = nullptr;
   obs::Counter* m_schedules_ = nullptr;
   obs::Histogram* m_build_us_ = nullptr;
+  obs::Histogram* m_unit_us_ = nullptr;
   obs::Gauge* m_bytes_ = nullptr;
+  obs::Gauge* m_plan_bytes_ = nullptr;
 };
 
 }  // namespace vuv

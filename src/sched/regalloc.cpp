@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,11 +21,8 @@ void for_each_use(const Operation& op, F&& f) {
     if (op.src[i].valid() && op.src[i].cls != RegClass::kSpecial) f(op.src[i]);
 }
 
-struct Interval {
-  Reg reg;
-  i64 start;
-  i64 end;
-};
+static_assert(sizeof(PlannedInterval) == 12,
+              "resident plans hold one 12-byte record per live register");
 
 /// Flat virtual-register indexing: one dense id space over all allocatable
 /// classes, in (class, id) order — the same order the former
@@ -44,6 +43,16 @@ struct VregSpace {
 
   i32 index(const Reg& r) const {
     return off[static_cast<size_t>(r.cls)] + r.id;
+  }
+
+  /// Inverse of index() for the class: the last allocatable class whose
+  /// range starts at or below `f` (empty classes start where the next one
+  /// does, so they are passed over).
+  RegClass class_of(i32 f) const {
+    for (int c = static_cast<int>(RegClass::kAcc);
+         c > static_cast<int>(RegClass::kInt); --c)
+      if (f >= off[static_cast<size_t>(c)]) return static_cast<RegClass>(c);
+    return RegClass::kInt;
   }
 };
 
@@ -86,18 +95,29 @@ class RegBits {
 
 }  // namespace
 
-RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
+i64 RegPlan::bytes() const {
+  return static_cast<i64>(sizeof(RegPlan) +
+                          intervals.capacity() * sizeof(PlannedInterval));
+}
+
+RegPlan plan_registers(const Program& prog) {
   VUV_CHECK(!prog.allocated, "program already register-allocated");
 
   const VregSpace vr(prog);
+  RegPlan plan;
+  plan.reg_count = prog.reg_count;
+  plan.ops = prog.static_ops();
+  if (plan.ops > std::numeric_limits<i32>::max())
+    throw CompileError("program has " + std::to_string(plan.ops) +
+                       " ops; register planning holds op positions in 32 bits");
 
   // ---- linearize ------------------------------------------------------------
   const i32 nblocks = static_cast<i32>(prog.blocks.size());
-  std::vector<i64> block_start(nblocks), block_end(nblocks);
-  i64 pos = 0;
+  std::vector<i32> block_start(nblocks), block_end(nblocks);
+  i32 pos = 0;
   for (i32 b = 0; b < nblocks; ++b) {
     block_start[b] = pos;
-    pos += static_cast<i64>(prog.blocks[b].ops.size());
+    pos += static_cast<i32>(prog.blocks[b].ops.size());
     block_end[b] = pos;  // exclusive
   }
 
@@ -109,7 +129,7 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
   // compacted space of cross-block candidates rather than the full virtual
   // register space.
   std::vector<i32> dense_id(static_cast<size_t>(vr.total), -1);
-  std::vector<Reg> dense_reg;  // dense id -> register
+  std::vector<i32> dense_vreg;  // dense id -> flat virtual register
   std::vector<std::vector<i32>> use_list(nblocks), def_list(nblocks);
   {
     std::vector<i32> def_epoch(static_cast<size_t>(vr.total), -1);
@@ -123,8 +143,8 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
           use_epoch[static_cast<size_t>(f)] = b;
           use_list[b].push_back(f);
           if (dense_id[static_cast<size_t>(f)] < 0) {
-            dense_id[static_cast<size_t>(f)] = static_cast<i32>(dense_reg.size());
-            dense_reg.push_back(r);
+            dense_id[static_cast<size_t>(f)] = static_cast<i32>(dense_vreg.size());
+            dense_vreg.push_back(f);
           }
         });
         if (op.dst.valid() && op.dst.cls != RegClass::kSpecial) {
@@ -137,7 +157,7 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
       }
     }
   }
-  const i32 ndense = static_cast<i32>(dense_reg.size());
+  const i32 ndense = static_cast<i32>(dense_vreg.size());
 
   std::vector<RegBits> use(nblocks), def(nblocks), live_in(nblocks),
       live_out(nblocks);
@@ -198,12 +218,12 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
 
   // ---- intervals -------------------------------------------------------------
   // Indexed by flat virtual register; start == -1 marks "no interval yet".
-  std::vector<Interval> interval(static_cast<size_t>(vr.total),
-                                 Interval{Reg{}, -1, -1});
-  auto extend = [&](const Reg& r, i64 at) {
-    Interval& iv = interval[static_cast<size_t>(vr.index(r))];
+  std::vector<PlannedInterval> interval(static_cast<size_t>(vr.total),
+                                        PlannedInterval{-1, -1, -1});
+  auto extend = [&](i32 f, i32 at) {
+    PlannedInterval& iv = interval[static_cast<size_t>(f)];
     if (iv.start < 0) {
-      iv = Interval{r, at, at};
+      iv = PlannedInterval{f, at, at};
     } else {
       iv.start = std::min(iv.start, at);
       iv.end = std::max(iv.end, at);
@@ -211,16 +231,41 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
   };
   for (i32 b = 0; b < nblocks; ++b) {
     live_in[b].for_each(
-        [&](i32 d) { extend(dense_reg[static_cast<size_t>(d)], block_start[b]); });
+        [&](i32 d) { extend(dense_vreg[static_cast<size_t>(d)], block_start[b]); });
     live_out[b].for_each(
-        [&](i32 d) { extend(dense_reg[static_cast<size_t>(d)], block_end[b]); });
-    i64 p = block_start[b];
+        [&](i32 d) { extend(dense_vreg[static_cast<size_t>(d)], block_end[b]); });
+    i32 p = block_start[b];
     for (const Operation& op : prog.blocks[b].ops) {
-      for_each_use(op, [&](const Reg& r) { extend(r, p); });
-      if (op.dst.valid() && op.dst.cls != RegClass::kSpecial) extend(op.dst, p);
+      for_each_use(op, [&](const Reg& r) { extend(vr.index(r), p); });
+      if (op.dst.valid() && op.dst.cls != RegClass::kSpecial)
+        extend(vr.index(op.dst), p);
       ++p;
     }
   }
+
+  // ---- scan order --------------------------------------------------------------
+  // Collect in flat-index order — (class, id) ascending — so the unstable
+  // sort below sees the same input permutation the map-based implementation
+  // produced and assigns identical physical registers.
+  size_t live = 0;
+  for (const PlannedInterval& iv : interval) live += iv.start >= 0 ? 1 : 0;
+  plan.intervals.reserve(live);
+  for (const PlannedInterval& iv : interval)
+    if (iv.start >= 0) plan.intervals.push_back(iv);
+  std::sort(plan.intervals.begin(), plan.intervals.end(),
+            [](const PlannedInterval& a, const PlannedInterval& b) {
+              return a.start < b.start || (a.start == b.start && a.end < b.end);
+            });
+  return plan;
+}
+
+RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg,
+                                 const RegPlan& plan) {
+  VUV_CHECK(!prog.allocated, "program already register-allocated");
+  VUV_CHECK(plan.reg_count == prog.reg_count && plan.ops == prog.static_ops(),
+            "register plan was made for a different program");
+
+  const VregSpace vr(prog);
 
   // ---- linear scan per class -------------------------------------------------
   auto file_size = [&](RegClass cls) -> i32 {
@@ -232,17 +277,6 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
       default: return 0;
     }
   };
-
-  // Collect in flat-index order — (class, id) ascending — so the unstable
-  // sort below sees the same input permutation the map-based implementation
-  // produced and assigns identical physical registers.
-  std::vector<Interval> sorted;
-  sorted.reserve(static_cast<size_t>(vr.total));
-  for (const Interval& iv : interval)
-    if (iv.start >= 0) sorted.push_back(iv);
-  std::sort(sorted.begin(), sorted.end(), [](const Interval& a, const Interval& b) {
-    return a.start < b.start || (a.start == b.start && a.end < b.end);
-  });
 
   RegAllocStats stats;
   std::vector<i32> phys(static_cast<size_t>(vr.total), -1);
@@ -277,8 +311,9 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
     for (i32 i = 0; i < n; ++i) free_regs[c].push_back(i);
   }
 
-  for (const Interval& iv : sorted) {
-    const int c = static_cast<int>(iv.reg.cls);
+  for (const PlannedInterval& iv : plan.intervals) {
+    const RegClass cls = vr.class_of(iv.vreg);
+    const int c = static_cast<int>(cls);
     // Expire intervals that ended strictly before this start.
     auto& act = active[c];
     while (!act.empty() && act.front().end < iv.start) {
@@ -288,14 +323,14 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
     }
     if (free_regs[c].empty()) {
       throw CompileError(
-          "register pressure exceeds " + std::string(reg_class_name(iv.reg.cls)) +
-          " file size (" + std::to_string(file_size(iv.reg.cls)) + ") on " + cfg.name);
+          "register pressure exceeds " + std::string(reg_class_name(cls)) +
+          " file size (" + std::to_string(file_size(cls)) + ") on " + cfg.name);
     }
     const i32 p = free_regs[c].front();
     free_regs[c].pop_front();
     act.push_back(ActiveReg{iv.end, seq++, p});
     std::push_heap(act.begin(), act.end(), heap_cmp);
-    phys[static_cast<size_t>(vr.index(iv.reg))] = p;
+    phys[static_cast<size_t>(iv.vreg)] = p;
     stats.peak[c] = std::max(stats.peak[c], static_cast<i32>(act.size()));
   }
 
@@ -316,6 +351,10 @@ RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
     prog.reg_count[c] = file_size(static_cast<RegClass>(c));
   prog.allocated = true;
   return stats;
+}
+
+RegAllocStats allocate_registers(Program& prog, const MachineConfig& cfg) {
+  return allocate_registers(prog, cfg, plan_registers(prog));
 }
 
 }  // namespace vuv

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ir/program.hpp"
+#include "sched/regalloc.hpp"
 #include "sim/machine_config.hpp"
 
 namespace vuv {
@@ -57,8 +58,16 @@ struct CompileOptions {
   std::string unit;
 };
 
-/// Full pipeline: verify + ISA-level check + register allocation + schedule.
+/// Full pipeline: verify + register planning + ISA-level check + register
+/// allocation + schedule.
 ScheduledProgram compile(Program prog, const MachineConfig& cfg,
                          const CompileOptions& opts = {});
+
+/// The same pipeline for a program already verified and planned once for
+/// every configuration it compiles for (see CompileCache): it neither
+/// verifies nor plans again. Strict mode still lints `prog` and checks the
+/// schedule, per compile.
+ScheduledProgram compile(Program prog, const MachineConfig& cfg,
+                         const RegPlan& plan, const CompileOptions& opts = {});
 
 }  // namespace vuv

@@ -626,22 +626,26 @@ ScheduledProgram schedule_program(Program prog, const MachineConfig& cfg) {
   return out;
 }
 
-ScheduledProgram compile(Program prog, const MachineConfig& cfg,
-                         const CompileOptions& opts) {
-  if (opts.strict_verify) {
-    // Full static lint (structural rules included); errors are fatal.
-    const lint::DiagReport rep =
-        lint::lint_program(prog, {opts.unit, opts.mem_extent});
-    if (rep.errors() > 0)
-      throw CompileError("strict verify (" + rep.summary() +
-                         "): " + lint::to_string(*rep.first_error()));
-  } else {
-    verify(prog);
-  }
+namespace {
+
+/// Strict mode's full static lint (structural rules included); errors are
+/// fatal.
+void strict_lint(const Program& prog, const CompileOptions& opts) {
+  const lint::DiagReport rep =
+      lint::lint_program(prog, {opts.unit, opts.mem_extent});
+  if (rep.errors() > 0)
+    throw CompileError("strict verify (" + rep.summary() +
+                       "): " + lint::to_string(*rep.first_error()));
+}
+
+/// The configuration-dependent pipeline of a verified, planned program.
+ScheduledProgram compile_verified(Program prog, const MachineConfig& cfg,
+                                  const RegPlan& plan,
+                                  const CompileOptions& opts) {
   check_isa_level(prog, cfg);
   Program source;
   if (opts.strict_verify) source = prog;  // pre-allocation image for checking
-  allocate_registers(prog, cfg);
+  allocate_registers(prog, cfg, plan);
   ScheduledProgram out = schedule_program(std::move(prog), cfg);
   if (opts.strict_verify) {
     const lint::DiagReport rep =
@@ -651,6 +655,24 @@ ScheduledProgram compile(Program prog, const MachineConfig& cfg,
                          "): " + lint::to_string(*rep.first_error()));
   }
   return out;
+}
+
+}  // namespace
+
+ScheduledProgram compile(Program prog, const MachineConfig& cfg,
+                         const CompileOptions& opts) {
+  if (opts.strict_verify)
+    strict_lint(prog, opts);
+  else
+    verify(prog);
+  const RegPlan plan = plan_registers(prog);
+  return compile_verified(std::move(prog), cfg, plan, opts);
+}
+
+ScheduledProgram compile(Program prog, const MachineConfig& cfg,
+                         const RegPlan& plan, const CompileOptions& opts) {
+  if (opts.strict_verify) strict_lint(prog, opts);
+  return compile_verified(std::move(prog), cfg, plan, opts);
 }
 
 }  // namespace vuv

@@ -1,8 +1,8 @@
 // Tests for the parallel sweep-runner subsystem: serial/parallel parity
 // (identical results and identical report bytes), compile-cache hit/miss
-// accounting (each (app, variant, config) compiled once while resident),
-// releasing compiles after their last cell, result caching, and spec-order
-// reporting.
+// accounting (each (app, variant, config) compiled once while resident,
+// each unit built and register-planned once), releasing compiles after
+// their last cell, result caching, and spec-order reporting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -171,6 +171,58 @@ TEST(Runner, SharedSnapshotMatchesRunAppAndStaysPristine) {
   EXPECT_EQ(std::memcmp(snapshot.bytes(0, snapshot.size()).data(),
                         want.bytes(0, want.size()).data(), want.size()),
             0);
+}
+
+// A unit is built, verified and register-planned once, and every compile
+// of it scans that one plan. Four workers race over one app's three
+// variants on every Table-2 configuration that runs each (17 compiles from
+// 3 units): each cell equals a private run_app_variant field by field, and
+// the cache built exactly three units, whose plans it still holds.
+TEST(Runner, UnitPlanSharedAcrossConfigs) {
+  const App app = App::kGsmDec;
+  SweepSpec spec;
+  for (const MachineConfig& cfg : MachineConfig::all_table2()) {
+    spec.add(app, Variant::kScalar, cfg);
+    if (cfg.isa != IsaLevel::kScalar) spec.add(app, variant_for(cfg.isa), cfg);
+  }
+  ASSERT_EQ(spec.size(), 17u);
+
+  RunnerOptions ropts;
+  ropts.jobs = 4;
+  Runner runner(ropts);
+  for (const CellOutcome& o : runner.run(spec)) {
+    SCOPED_TRACE(o.cell.key());
+    const AppResult direct =
+        run_app_variant(app, o.cell.variant, o.cell.cfg, o.cell.perfect);
+    EXPECT_TRUE(o.result.verified) << o.result.verify_error;
+    EXPECT_EQ(o.result.verified, direct.verified);
+    EXPECT_EQ(o.result.app, direct.app);
+    EXPECT_EQ(o.result.config, direct.config);
+    expect_identical(o.result.sim, direct.sim);
+  }
+
+  obs::Registry& m = runner.metrics();
+  EXPECT_EQ(m.counter("compile_cache.schedules").value(), 17);
+  EXPECT_EQ(m.histogram("compile_cache.build_us").count(), 17);
+  EXPECT_EQ(m.histogram("compile_cache.unit_us").count(), 3);
+
+  // Compiles of one variant point at one unit, and the plan gauge holds
+  // exactly the three resident plans.
+  i64 plan_bytes = 0;
+  for (const Variant v :
+       {Variant::kScalar, Variant::kMusimd, Variant::kVector}) {
+    const MachineConfig a =
+        v == Variant::kMusimd ? MachineConfig::musimd(2) : MachineConfig::vector1(2);
+    const MachineConfig b =
+        v == Variant::kMusimd ? MachineConfig::musimd(8) : MachineConfig::vector2(4);
+    const auto ca = runner.compile_cache().get(app, v, a);
+    const auto cb = runner.compile_cache().get(app, v, b);
+    EXPECT_EQ(ca->unit, cb->unit) << variant_name(v);
+    plan_bytes += ca->unit->plan.bytes();
+  }
+  EXPECT_EQ(m.histogram("compile_cache.unit_us").count(), 3);
+  EXPECT_GT(plan_bytes, 0);
+  EXPECT_EQ(m.gauge("compile_cache.plan_bytes").value(), plan_bytes);
 }
 
 // Configurations that differ only in the memory hierarchy share one

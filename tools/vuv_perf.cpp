@@ -9,7 +9,6 @@
 // exceeds baseline * max-regress — the CI perf gate. The threshold is
 // deliberately generous: shared CI runners are noisy, and the gate exists
 // to catch order-of-magnitude hot-path regressions, not percent drift.
-#include <fstream>
 #include <iostream>
 
 #include "cli.hpp"
@@ -97,6 +96,10 @@ int main(int argc, char** argv) {
       }
     }
 
+    // A baseline that cannot gate fails before anything is measured.
+    const double base =
+        baseline.empty() ? 0.0 : read_baseline_wall_seconds(baseline);
+
     const SweepSpec spec = SweepSpec::matrix(apps, cfgs, {perfect});
     if (spec.empty()) throw Error("the sweep spec selected no cells");
 
@@ -116,12 +119,12 @@ int main(int argc, char** argv) {
               << perf.wall_seconds << "s wall, " << perf.simulated_cycles
               << " simulated cycles (" << perf.cycles_per_second / 1e6
               << " Mcycles/s)\n";
+    std::cerr << "[vuv_perf] compile " << perf.compile_seconds
+              << "s (unit builds " << perf.unit_build_seconds
+              << "s), simulate " << perf.simulate_seconds << "s\n";
 
     if (!baseline.empty()) {
-      std::ifstream bf(baseline);
-      if (!bf) throw Error("cannot read baseline " + baseline);
-      const double base = read_baseline_wall_seconds(bf);
-      const double ratio = base > 0 ? perf.wall_seconds / base : 0.0;
+      const double ratio = perf.wall_seconds / base;
       std::cerr << "[vuv_perf] baseline " << base << "s, measured "
                 << perf.wall_seconds << "s (" << ratio << "x, limit "
                 << max_regress << "x)\n";

@@ -42,9 +42,29 @@ AppResult run_built(BuiltApp& built, MachineConfig cfg,
 /// app|variant once for all of its cells; a copy costs only the bytes
 /// written, see MainMemory). `cfg` must have the schedule_signature the
 /// image was lowered under; it may differ in `name` and `mem` (see Cpu),
-/// and the memory system is built from it.
+/// and the memory system is built from it. The one-configuration case of
+/// simulate_group: throws what that returns as its error.
 AppResult simulate_app(const std::string& name,
                        const BuiltApp::Verifier& verify, Workspace& ws,
                        const ExecImage& image, const MachineConfig& cfg);
+
+/// One configuration's share of simulate_group: its result, or the error
+/// its own simulate_app would have thrown.
+struct AppOutcome {
+  AppResult result;
+  std::exception_ptr error;  // null on success
+};
+
+/// simulate_app for every configuration of `cfgs` from one functional walk
+/// (Cpu::run_group): `ws` is replayed once and verified once, and each
+/// configuration gets its own timing and memory system. The outputs do not
+/// depend on timing, so one verify speaks for every configuration that
+/// finished. Outcomes come in `cfgs` order, and a replay failure is
+/// reported per configuration (see Cpu::run_group). One configuration
+/// takes the single-state replay path.
+std::vector<AppOutcome> simulate_group(const std::string& name,
+                                       const BuiltApp::Verifier& verify,
+                                       Workspace& ws, const ExecImage& image,
+                                       std::span<const MachineConfig> cfgs);
 
 }  // namespace vuv

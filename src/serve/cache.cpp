@@ -24,7 +24,7 @@ namespace {
 //
 //   vuvres 1
 //   sum <16 lowercase hex: FNV-1a 64 over "key <key>\n<payload>\n">
-//   key <cell key|compile signature>
+//   key model <16 lowercase hex: kModelVersion>|<cell key|compile signature>
 //   <payload: result_to_json(result).dump()>
 //
 // The checksum covers the key and the payload, so a bit flip anywhere
@@ -52,6 +52,16 @@ std::string hex64(u64 v) {
     v >>= 4;
   }
   return out;
+}
+
+/// The key an entry is stored under: the caller's, qualified by the model
+/// that computed the result.
+std::string model_key(const std::string& key) {
+  std::string k = "model ";
+  k += hex64(kModelVersion);
+  k += '|';
+  k += key;
+  return k;
 }
 
 bool is_entry_file(const fs::directory_entry& e) {
@@ -88,7 +98,8 @@ std::string ResultCache::path_for(const std::string& key) const {
   // Keys carry '|' and arbitrary config names; a hash filename sidesteps
   // escaping entirely. Collisions are survivable (the key line is
   // verified on load; a mismatch is a miss), just astronomically rare.
-  return (fs::path(opts_.dir) / (hex64(fnv1a64(key)) + kSuffix)).string();
+  return (fs::path(opts_.dir) / (hex64(fnv1a64(model_key(key))) + kSuffix))
+      .string();
 }
 
 ResultCache::Stats ResultCache::stats() const {
@@ -155,7 +166,7 @@ std::optional<AppResult> ResultCache::load(const std::string& key) {
     miss(true);
     return std::nullopt;
   }
-  if (lines[2].substr(4) != key) {
+  if (lines[2].substr(4) != model_key(key)) {
     miss(false);  // hash collision: a valid entry for some other key
     return std::nullopt;
   }
@@ -189,7 +200,7 @@ std::optional<AppResult> ResultCache::load(const std::string& key) {
 
 void ResultCache::store(const std::string& key, const AppResult& result) {
   const std::string path = path_for(key);
-  const std::string key_line = "key " + key;
+  const std::string key_line = "key " + model_key(key);
   const std::string payload = result_to_json(result).dump();
   const std::string sum = hex64(fnv1a64(key_line + "\n" + payload + "\n"));
   std::string content = std::string(kMagic) + " " +

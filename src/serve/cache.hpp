@@ -1,5 +1,6 @@
 // Persistent on-disk result cache: completed sweep cells, keyed by the
-// same string the Runner's in-memory result map uses — the cell key
+// simulation model's version (kModelVersion) and the same string the
+// Runner's in-memory result map uses — the cell key
 // (app|variant|config|memory-mode) plus compile_signature(cfg) — and
 // valued with the byte-stable serve JSON encoding of the complete
 // AppResult (protocol.hpp result_to_json). Because the stored bytes are
@@ -39,6 +40,15 @@
 
 namespace vuv {
 namespace serve {
+
+/// The simulation model's version: the FNV-1a 64 hash of
+/// tests/sim_equivalence_golden.inc, the pinned results of the locked
+/// matrix. It is part of every entry's key, so an entry written under
+/// another model (with another golden) is a plain miss, never a stale hit.
+/// A change that re-pins the golden sets this to the new file's hash;
+/// tests/serve_cache_test.cpp fails until it does. The entry format has
+/// its own version, in the entry's first line.
+inline constexpr u64 kModelVersion = 0x705d9fbf2ec397a0ULL;
 
 struct ResultCacheOptions {
   /// Cache directory; created (recursively) on construction.

@@ -10,6 +10,9 @@
 // a cache miss or bank conflict").
 #pragma once
 
+#include <exception>
+#include <span>
+
 #include "mem/hierarchy.hpp"
 #include "obs/stall.hpp"
 #include "sched/schedule.hpp"
@@ -65,6 +68,14 @@ struct SimResult {
   Cycle scalar_cycles() const { return cycles - vector_cycles(); }
 };
 
+/// One configuration's share of a grouped replay (Cpu::run_group): its
+/// result, or the error that failed it, exactly as its own Cpu::run() would
+/// have returned or thrown.
+struct SimOutcome {
+  SimResult sim;
+  std::exception_ptr error;  // null on success
+};
+
 class Cpu {
  public:
   /// Replay `image` under `cfg`. The image is all replay reads: the
@@ -77,36 +88,57 @@ class Cpu {
   /// a core. `cfg`, `mem` and `image` must outlive the Cpu.
   Cpu(const MachineConfig& cfg, MainMemory& mem, const ExecImage& image);
 
-  /// As above; `image` must be a lowering of `sp`, which is not read. Kept
-  /// only because the benchmark harness's traced pass (vuvbench) calls it;
-  /// delete it once that pass moves to the three-argument form.
+  /// Replay `image` once for every configuration of `cfgs` in lockstep
+  /// (run_group): one functional walk (CpuState, `mem`, control flow)
+  /// drives one timing state per configuration. Every configuration must
+  /// pass the signature check above, so they differ only in `name` and
+  /// `mem`. `cfgs` must be non-empty and outlive the Cpu.
+  Cpu(std::span<const MachineConfig> cfgs, MainMemory& mem,
+      const ExecImage& image);
+
+  /// As the first form; `image` must be a lowering of `sp`, which is not
+  /// read. Kept only because the benchmark harness's traced pass (vuvbench)
+  /// calls it; delete it once that pass moves to the three-argument form.
   Cpu(const ScheduledProgram& /*sp*/, const MachineConfig& cfg,
       MainMemory& mem, const ExecImage& image)
       : Cpu(cfg, mem, image) {}
 
   /// Pre-fill the L3 with an address range before running (see
-  /// MemorySystem::warm).
+  /// MemorySystem::warm); every configuration's memory system is warmed.
   void warm(Addr start, u32 bytes) { warm_.emplace_back(start, bytes); }
 
   /// Attach a pipeline trace sink for subsequent run() calls (nullptr to
   /// detach). Sinks observe timing; they can never change it — with no
   /// sink attached the replay loop is byte-for-byte the untraced code path.
+  /// One configuration only: a grouped replay takes no sink.
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
   /// Attach a per-static-op stall profile (nullptr to detach). run()
   /// resizes profile->by_op to the image's op count and accumulates every
-  /// stalled word issue against the op that bound it.
+  /// stalled word issue against the op that bound it. One configuration
+  /// only, as set_trace.
   void set_profile(StallProfile* profile) { profile_ = profile; }
 
-  /// Run to HALT. Throws SimError if `max_cycles` elapses first.
+  /// Run the one configuration to HALT. Throws SimError if `max_cycles`
+  /// elapses first.
   SimResult run(Cycle max_cycles = 4'000'000'000LL);
+
+  /// Run every configuration to HALT from one functional walk and return
+  /// their outcomes in `cfgs` order. Never throws for a run-time failure:
+  /// a configuration whose issue time reaches `max_cycles` fails alone
+  /// (SimError) and the others go on; a functional error (division by
+  /// zero, VL out of range, control falling off the program) fails every
+  /// configuration still running. Each outcome equals what its own
+  /// one-configuration run() returns or throws. One configuration takes
+  /// run()'s path.
+  std::vector<SimOutcome> run_group(Cycle max_cycles = 4'000'000'000LL);
 
   /// The execution image being replayed. StallProfile op indices index
   /// this image's `ops` (see obs/profile_report.hpp).
   const ExecImage& image() const { return image_; }
 
  private:
-  const MachineConfig& cfg_;  // simulation-time configuration
+  std::span<const MachineConfig> cfgs_;  // simulation-time configurations
   MainMemory& mem_;
   const ExecImage& image_;
   std::vector<std::pair<Addr, u32>> warm_;

@@ -262,7 +262,8 @@ TEST(Runner, MemoryDesignPointsShareOneSchedule) {
   RunnerOptions ropts;
   ropts.jobs = 4;
   Runner runner(ropts);
-  for (const CellOutcome& o : runner.run(spec)) {
+  const std::vector<CellOutcome> outcomes = runner.run(spec);
+  for (const CellOutcome& o : outcomes) {
     SCOPED_TRACE(o.cell.key());
     const AppResult direct = run_app(o.cell.app, o.cell.cfg, o.cell.perfect);
     EXPECT_TRUE(o.result.verified) << o.result.verify_error;
@@ -273,6 +274,8 @@ TEST(Runner, MemoryDesignPointsShareOneSchedule) {
 
   // Hits and misses count configuration identities (12, each shared by
   // its two memory modes); compiles count schedules: 2 apps x 2 cores.
+  // Each compile's six cells (3 hierarchies x 2 modes) are one group: one
+  // functional walk, whose task releases the compile once it is done.
   const CompileCache::Stats stats = runner.compile_cache().stats();
   EXPECT_EQ(stats.misses, 12);
   EXPECT_EQ(stats.hits, 12);
@@ -281,12 +284,77 @@ TEST(Runner, MemoryDesignPointsShareOneSchedule) {
   EXPECT_EQ(m.counter("compile_cache.misses").value(), 12);
   EXPECT_EQ(m.counter("compile_cache.schedules").value(), 4);
   EXPECT_EQ(m.histogram("compile_cache.build_us").count(), 4);
+  EXPECT_EQ(m.counter("sim.cells").value(), 24);
+  EXPECT_EQ(m.counter("sim.replays").value(), 4);
+  EXPECT_EQ(m.histogram("sim.replay_us").count(), 4);
+  EXPECT_EQ(m.gauge("compile_cache.bytes").value(), 0);
+
+  // One worker walks the groups one after another: the same bytes through
+  // every report writer.
+  RunnerOptions serial_opts;
+  serial_opts.jobs = 1;
+  Runner serial(serial_opts);
+  const std::vector<CellOutcome> again = serial.run(spec);
+  const BenchJsonReport json("runner_parity");
+  const CsvReport csv;
+  const TableReport table;
+  for (const Report* report :
+       std::initializer_list<const Report*>{&json, &csv, &table})
+    EXPECT_EQ(render(*report, again), render(*report, outcomes));
 
   // The shared compile carries no requester's hierarchy: it stores no
   // configuration at all, only the schedule signature it was lowered under.
   const std::shared_ptr<const CompiledProgram> cp =
       runner.compile_cache().get(App::kGsmDec, Variant::kMusimd, configs[0]);
   EXPECT_EQ(cp->image.signature, schedule_signature(MachineConfig::musimd(2)));
+}
+
+// A group that holds every cell of the spec using its compile releases the
+// compile as soon as it has simulated them, not when the spec-order
+// collection reaches its last cell. At one worker the spec [A@h0, B, A@h1]
+// runs as the groups {A@h0, A@h1} then {B}, so A is gone before B
+// compiles: the cache never holds more than the larger image.
+TEST(Runner, GroupReleasesItsCompileWhenDone) {
+  MachineConfig a0 = MachineConfig::vliw(2);
+  a0.name += "/h0";
+  MachineConfig a1 = MachineConfig::vliw(2);
+  a1.mem.l1_size = 4 * 1024;
+  a1.mem.l1_assoc = 1;
+  a1.name += "/h1";
+  const MachineConfig b = MachineConfig::vliw(2);
+  SweepSpec spec;
+  spec.add(App::kGsmDec, a0);
+  spec.add(App::kJpegDec, b);
+  spec.add(App::kGsmDec, a1);
+
+  // Each image's bytes, as the gauge counts them.
+  obs::Registry sizes;
+  CompileCache probe;
+  probe.set_metrics(&sizes);
+  obs::Gauge& probe_bytes = sizes.gauge("compile_cache.bytes");
+  probe.get(App::kGsmDec, Variant::kScalar, a0);
+  const i64 bytes_a = probe_bytes.value();
+  probe.release(CompileCache::key(App::kGsmDec, Variant::kScalar, a0));
+  probe.get(App::kJpegDec, Variant::kScalar, b);
+  const i64 bytes_b = probe_bytes.value();
+  ASSERT_GT(bytes_a, 0);
+  ASSERT_GT(bytes_b, 0);
+
+  RunnerOptions ropts;
+  ropts.jobs = 1;
+  Runner runner(ropts);
+  const std::vector<CellOutcome> outcomes = runner.run(spec);
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].cell.key(), spec.cells[i].key());
+    EXPECT_TRUE(outcomes[i].result.verified) << outcomes[i].result.verify_error;
+  }
+  obs::Registry& m = runner.metrics();
+  EXPECT_EQ(m.counter("sim.cells").value(), 3);
+  EXPECT_EQ(m.counter("sim.replays").value(), 2);
+  EXPECT_EQ(m.counter("compile_cache.schedules").value(), 2);
+  EXPECT_EQ(m.gauge("compile_cache.bytes").value(), 0);
+  EXPECT_EQ(m.gauge("compile_cache.bytes").max(), std::max(bytes_a, bytes_b));
 }
 
 // run() drops each compile once the spec's last cell that uses it has

@@ -20,6 +20,7 @@
 #include "runner/report.hpp"
 #include "runner/runner.hpp"
 #include "serve/cache.hpp"
+#include "serve/protocol.hpp"
 #include "sim/machine_config.hpp"
 
 namespace vuv {
@@ -193,6 +194,73 @@ TEST_F(ServeCache, CollidingKeyIsAPlainMissNotCorruption) {
   EXPECT_EQ(s.corrupt, 0);  // nothing is damaged — just not ours
   EXPECT_EQ(s.misses, 1);
   EXPECT_TRUE(cache.load(key_a).has_value());
+}
+
+u64 fnv1a64(const std::string& s) {
+  u64 h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string hex64(u64 v) {
+  std::ostringstream os;
+  os << std::hex;
+  os.width(16);
+  os.fill('0');
+  os << v;
+  return os.str();
+}
+
+/// Write, byte for byte, the entry a cache whose entries are keyed by
+/// `stored_key` alone writes for `result`: the layout of serve/cache.cpp,
+/// with the file named by the hash of that key.
+void write_entry_keyed(const fs::path& dir, const std::string& stored_key,
+                       const AppResult& result) {
+  const std::string key_line = "key " + stored_key;
+  const std::string payload = result_to_json(result).dump();
+  const std::string sum = hex64(fnv1a64(key_line + "\n" + payload + "\n"));
+  write_file(dir / (hex64(fnv1a64(stored_key)) + ".vuvres"),
+             "vuvres 1\nsum " + sum + "\n" + key_line + "\n" + payload + "\n");
+}
+
+// The model version is the hash of the pinned golden results: re-pinning
+// tests/sim_equivalence_golden.inc without setting kModelVersion to the new
+// hash would let every existing cache directory serve the old model's
+// results.
+TEST_F(ServeCache, ModelVersionIsTheGoldenHash) {
+  const std::string golden = read_file(VUV_GOLDEN_INC);
+  ASSERT_FALSE(golden.empty()) << VUV_GOLDEN_INC;
+  EXPECT_EQ(hex64(kModelVersion), hex64(fnv1a64(golden)))
+      << "the golden changed: set serve::kModelVersion to 0x"
+      << hex64(fnv1a64(golden));
+}
+
+// An entry from another model is a plain miss, not a stale hit and not
+// corruption: both an entry written the way caches wrote them before the
+// key carried a model version (file named by, and key line holding, the
+// bare key) and one written under another model version.
+TEST_F(ServeCache, EntryFromAnotherModelIsAPlainMiss) {
+  const std::string key = "gsm_dec|scalar|VLIW-2w|r|sig";
+  const AppResult stored = make_result(8);
+  fs::create_directories(dir_);
+  write_entry_keyed(dir_, key, stored);
+  write_entry_keyed(dir_, "model " + hex64(kModelVersion + 1) + "|" + key,
+                    stored);
+
+  ResultCache cache = make();
+  EXPECT_FALSE(cache.load(key).has_value());
+  ResultCache::Stats s = cache.stats();
+  EXPECT_EQ(s.hits, 0);
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.corrupt, 0);
+
+  // This model's own entry sits beside them and hits.
+  cache.store(key, stored);
+  EXPECT_TRUE(cache.load(key).has_value());
+  EXPECT_EQ(cache.stats().hits, 1);
 }
 
 TEST_F(ServeCache, ConcurrentWritersOnOneDirectoryNeverTearEntries) {

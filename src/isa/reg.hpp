@@ -41,6 +41,10 @@ struct Reg {
 inline constexpr i32 kSpecialVl = 0;
 inline constexpr i32 kSpecialVs = 1;
 
+/// Architectural maximum vector length: the elements of one vector register,
+/// and the largest value VL may hold (paper §3.1).
+inline constexpr i32 kMaxVl = 16;
+
 inline Reg reg_vl() { return Reg{RegClass::kSpecial, kSpecialVl}; }
 inline Reg reg_vs() { return Reg{RegClass::kSpecial, kSpecialVs}; }
 

@@ -4,16 +4,9 @@
 #include <array>
 
 #include "common/error.hpp"
+#include "isa/reg.hpp"
 
 namespace vuv {
-
-namespace {
-
-/// The longest vector access: a vector register's element count, to which
-/// the simulator bounds VL.
-constexpr i32 kMaxVl = 16;
-
-}  // namespace
 
 MemorySystem::MemorySystem(const MachineConfig& cfg)
     : cfg_(cfg),

@@ -219,11 +219,11 @@ class BlockScheduler {
                  i32 entry_vs, SchedScratch& scratch)
       : blk_(blk), cfg_(cfg), scratch_(scratch) {
     const i32 n = static_cast<i32>(blk.ops.size());
-    vl_.assign(n, 16);
+    vl_.assign(n, kMaxVl);
     vs_.assign(n, kUnknownVl);
     i32 vl = entry_vl, vs = entry_vs;
     for (i32 i = 0; i < n; ++i) {
-      vl_[i] = (vl == kUnknownVl) ? cfg.max_vl : vl;
+      vl_[i] = (vl == kUnknownVl) ? kMaxVl : vl;
       vs_[i] = vs;
       const Operation& op = blk.ops[i];
       if (op.op == Opcode::SETVLI) vl = static_cast<i32>(op.imm);

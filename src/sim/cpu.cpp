@@ -204,10 +204,6 @@ void replay(const ExecImage& im, const MachineConfig& cfg, MainMemory& mem,
   i32 block = im.entry;
   bool halted = false;
 
-  // Hoisted writeback buffer: one slot per op of the widest word, reused
-  // every cycle (execute_decoded redefines all observable fields).
-  std::vector<WriteBack> wbs(static_cast<size_t>(std::max(im.max_word_ops, 1)));
-
   while (!halted) {
     const DecodedBlock& blk = im.blocks[static_cast<size_t>(block)];
     for (i32 s = 0; s < n; ++s) act[s]->reg = &act[s]->res.regions[blk.region];
@@ -303,10 +299,11 @@ void replay(const ExecImage& im, const MachineConfig& cfg, MainMemory& mem,
       }
 
       // ---- pass B: execute once, then every state times the op -----------
-      const u32 nops = w.op_end - w.op_begin;
-      for (u32 k = 0; k < nops; ++k) {
-        const DecodedOp& d = im.ops[w.op_begin + k];
-        const ExecInfo ex = execute_decoded(d, st, mem, wbs[k]);
+      // Each op writes its result in place: no op of a word reads what
+      // another op of the word writes (lower_image rejects such a word).
+      for (u32 oi = w.op_begin; oi != w.op_end; ++oi) {
+        const DecodedOp& d = im.ops[oi];
+        const ExecInfo ex = execute_decoded(d, st, mem);
         for (i32 s = 0; s < n; ++s)
           time_op<kGroup>(*act[s], d, ex, im, cfg.lanes, trace);
 
@@ -319,7 +316,6 @@ void replay(const ExecImage& im, const MachineConfig& cfg, MainMemory& mem,
         creg.ops += 1;
         creg.uops += d.uop_fixed + static_cast<i64>(d.uop_per_vl) * ex.vl;
       }
-      for (u32 k = 0; k < nops; ++k) apply_writeback(wbs[k], st);
 
       creg.words += 1;
       prev_sched = w.cycle;

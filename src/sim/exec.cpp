@@ -23,7 +23,8 @@ template <Opcode O, bool kShift>
 
 // One V_* op over elements [0, vl), with the compile-time base opcode O of
 // its sub-operations; lanes past VL are architecturally zero (the
-// fresh-writeback semantics the interpretive simulator had).
+// fresh-writeback semantics the interpretive simulator had). `dst` may be
+// `a` or `b`: element e is read before it is written.
 template <Opcode O, bool kShift>
 [[gnu::noinline, gnu::flatten]] void vec_lanes(VecValue& dst,
                                                const VecValue& a,
@@ -63,16 +64,10 @@ u64 packed_eval(Opcode m_op, u64 a, u64 b, i64 imm) {
   return packed_binary_ref(m_op, a, b);
 }
 
-ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
-                         MainMemory& mem, WriteBack& wb) {
+ExecInfo execute_decoded(const DecodedOp& d, CpuState& st, MainMemory& mem) {
   ExecInfo info;
   const i32 vl = static_cast<i32>(st.vl);
-  // `wb` is a hoisted, reused buffer: reset exactly the fields
-  // apply_writeback gates on; each case below (re)defines everything its
-  // destination class makes observable.
-  wb.dst = Reg{};
-  wb.sets_vl = false;
-  wb.sets_vs = false;
+  const size_t dst = static_cast<size_t>(d.dst.id);
 
   auto iv = [&](int i) -> u64 { return st.iregs[static_cast<size_t>(d.src[static_cast<size_t>(i)])]; };
   auto sv = [&](int i) -> u64 { return st.sregs[static_cast<size_t>(d.src[static_cast<size_t>(i)])]; };
@@ -82,17 +77,19 @@ ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
   auto av = [&](int i) -> const AccValue& {
     return st.aregs[static_cast<size_t>(d.src[static_cast<size_t>(i)])];
   };
-  auto set_i = [&](u64 v) {
-    wb.dst = d.dst;
-    wb.scalar = v;
+  // Each case computes its result from its sources before it writes.
+  auto set_i = [&](u64 v) { st.iregs[dst] = v; };
+  auto set_s = [&](u64 v) { st.sregs[dst] = v; };
+  auto set_vl = [&](i64 v) {
+    if (v < 1 || v > kMaxVl) throw SimError("VL out of range");
+    st.vl = v;
   };
   // Scalar memory: each opcode passes its own access width and sign.
   auto load = [&](i32 bytes, bool sign) {
     const Addr a = static_cast<Addr>(iv(0) + static_cast<u64>(d.imm));
-    wb.dst = d.dst;
-    wb.scalar = mem.load(a, bytes, sign);
     info.is_mem = true;
     info.mem_addr = a;
+    return mem.load(a, bytes, sign);
   };
   auto store = [&](i32 bytes, u64 v) {
     const Addr a = static_cast<Addr>(iv(1) + static_cast<u64>(d.imm));
@@ -101,12 +98,13 @@ ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
     info.mem_store = true;
     info.mem_addr = a;
   };
-  // VSADACC/VMACH: the destination accumulator is also source 2.
+  // VSADACC/VMACH: the destination starts from source 2 (usually the same
+  // accumulator) and accumulates; the vector sources are another file.
   auto accumulate = [&](void (*lanes)(AccValue&, const VecValue&,
                                       const VecValue&, i32)) {
-    wb.dst = d.dst;
-    wb.acc = av(2);
-    lanes(wb.acc, vv(0), vv(1), vl);
+    AccValue& acc = st.aregs[dst];
+    if (d.src[2] != d.dst.id) acc = av(2);
+    lanes(acc, vv(0), vv(1), vl);
     info.vl = vl;
   };
 
@@ -152,12 +150,12 @@ ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
     }
 
     // ---- scalar memory ---------------------------------------------------
-    case Opcode::LDB: load(1, true); break;
-    case Opcode::LDBU: load(1, false); break;
-    case Opcode::LDH: load(2, true); break;
-    case Opcode::LDHU: load(2, false); break;
-    case Opcode::LDW: load(4, true); break;
-    case Opcode::LDD: load(8, false); break;
+    case Opcode::LDB: set_i(load(1, true)); break;
+    case Opcode::LDBU: set_i(load(1, false)); break;
+    case Opcode::LDH: set_i(load(2, true)); break;
+    case Opcode::LDHU: set_i(load(2, false)); break;
+    case Opcode::LDW: set_i(load(4, true)); break;
+    case Opcode::LDD: set_i(load(8, false)); break;
     case Opcode::STB: store(1, iv(0)); break;
     case Opcode::STH: store(2, iv(0)); break;
     case Opcode::STW: store(4, iv(0)); break;
@@ -176,32 +174,28 @@ ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
     // ---- packed µSIMD: one word, constant opcode --------------------------
 #define VUV_M(name, ew, lat, nsrc, has_imm)                                 \
     case Opcode::M_##name:                                                  \
-      wb.dst = d.dst;                                                       \
-      wb.scalar = packed_word<Opcode::M_##name, (has_imm) != 0>(            \
-          sv(0), (nsrc) > 1 ? sv(1) : 0, d.imm);                            \
+      set_s(packed_word<Opcode::M_##name, (has_imm) != 0>(                  \
+          sv(0), (nsrc) > 1 ? sv(1) : 0, d.imm));                           \
       break;
     VUV_PACKED_OPS(VUV_M)
 #undef VUV_M
 
     // ---- µSIMD support ---------------------------------------------------
-    case Opcode::LDQS: load(8, false); break;
+    case Opcode::LDQS: set_s(load(8, false)); break;
     case Opcode::STQS: store(8, sv(0)); break;
-    case Opcode::MOVIS: wb.dst = d.dst; wb.scalar = static_cast<u64>(d.imm); break;
-    case Opcode::MOVI2S: wb.dst = d.dst; wb.scalar = iv(0); break;
+    case Opcode::MOVIS: set_s(static_cast<u64>(d.imm)); break;
+    case Opcode::MOVI2S: set_s(iv(0)); break;
     case Opcode::MOVS2I: set_i(sv(0)); break;
     case Opcode::PEXTRH: set_i(get_lane(sv(0), static_cast<int>(d.imm), 16)); break;
-    case Opcode::PINSRH:
-      wb.dst = d.dst;
-      wb.scalar = set_lane(sv(0), static_cast<int>(d.imm), 16, iv(1));
-      break;
+    case Opcode::PINSRH: set_s(set_lane(sv(0), static_cast<int>(d.imm), 16, iv(1))); break;
 
     // ---- packed vector: VL sub-operations of the constant base opcode ------
-    // (single-source shift forms read no second vector)
+    // (single-source shift forms read no second vector). The destination
+    // may be a source: lane e reads only element e of each source.
 #define VUV_V(name, ew, lat, nsrc, has_imm)                                 \
     case Opcode::V_##name:                                                  \
-      wb.dst = d.dst;                                                       \
       vec_lanes<Opcode::M_##name, (has_imm) != 0>(                          \
-          wb.vec, vv(0), (nsrc) > 1 ? vv(1) : vv(0), d.imm, vl);            \
+          st.vregs[dst], vv(0), (nsrc) > 1 ? vv(1) : vv(0), d.imm, vl);     \
       info.vl = vl;                                                         \
       break;
     VUV_PACKED_OPS(VUV_V)
@@ -210,12 +204,12 @@ ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
     // ---- vector memory ---------------------------------------------------
     case Opcode::VLD: {
       const Addr base = static_cast<Addr>(iv(0) + static_cast<u64>(d.imm));
-      wb.dst = d.dst;
+      VecValue& v = st.vregs[dst];
       for (i32 e = 0; e < vl; ++e)
-        wb.vec[static_cast<size_t>(e)] =
+        v[static_cast<size_t>(e)] =
             mem.load(static_cast<Addr>(base + static_cast<u64>(e) * static_cast<u64>(st.vs)), 8, false);
-      for (i32 e = vl; e < static_cast<i32>(wb.vec.size()); ++e)
-        wb.vec[static_cast<size_t>(e)] = 0;
+      for (i32 e = vl; e < static_cast<i32>(v.size()); ++e)
+        v[static_cast<size_t>(e)] = 0;
       info.is_mem = true;
       info.mem_vector = true;
       info.mem_addr = base;
@@ -243,7 +237,7 @@ ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
     // ---- vector accumulators ---------------------------------------------
     case Opcode::VSADACC: accumulate(vsadacc_lanes); break;
     case Opcode::VMACH: accumulate(vmach_lanes); break;
-    case Opcode::CLRACC: wb.dst = d.dst; wb.acc = AccValue{}; break;
+    case Opcode::CLRACC: st.aregs[dst] = AccValue{}; break;
     case Opcode::SUMACB: {
       const AccValue& a = av(0);
       i64 sum = 0;
@@ -260,35 +254,15 @@ ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
     }
 
     // ---- special registers -----------------------------------------------
-    case Opcode::SETVLI: wb.sets_vl = true; wb.special = d.imm; break;
-    case Opcode::SETVL: wb.sets_vl = true; wb.special = static_cast<i64>(iv(0)); break;
-    case Opcode::SETVSI: wb.sets_vs = true; wb.special = d.imm; break;
-    case Opcode::SETVS: wb.sets_vs = true; wb.special = static_cast<i64>(iv(0)); break;
+    case Opcode::SETVLI: set_vl(d.imm); break;
+    case Opcode::SETVL: set_vl(static_cast<i64>(iv(0))); break;
+    case Opcode::SETVSI: st.vs = d.imm; break;
+    case Opcode::SETVS: st.vs = static_cast<i64>(iv(0)); break;
 
     case Opcode::kCount:
       throw InternalError("execute_decoded: not an opcode");
   }
   return info;
-}
-
-void apply_writeback(const WriteBack& wb, CpuState& st) {
-  if (wb.sets_vl) {
-    if (wb.special < 1 || wb.special > 16) throw SimError("VL out of range");
-    st.vl = wb.special;
-    return;
-  }
-  if (wb.sets_vs) {
-    st.vs = wb.special;
-    return;
-  }
-  if (!wb.dst.valid()) return;
-  switch (wb.dst.cls) {
-    case RegClass::kInt: st.iregs[static_cast<size_t>(wb.dst.id)] = wb.scalar; break;
-    case RegClass::kSimd: st.sregs[static_cast<size_t>(wb.dst.id)] = wb.scalar; break;
-    case RegClass::kVreg: st.vregs[static_cast<size_t>(wb.dst.id)] = wb.vec; break;
-    case RegClass::kAcc: st.aregs[static_cast<size_t>(wb.dst.id)] = wb.acc; break;
-    default: throw InternalError("bad writeback class");
-  }
 }
 
 }  // namespace vuv

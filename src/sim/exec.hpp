@@ -4,6 +4,13 @@
 // opcode (see sim/image.hpp): register indices were resolved at lowering
 // time, and each opcode's case has its memory width and sign or packed
 // form as constants, so the interpreter touches no OpInfo tables.
+//
+// Each op writes its result in place, into the register file its opcode
+// implies (or VL/VS), as a store writes memory. A VLIW word's ops then run
+// in order with nothing staged: lower_image rejects any word in which one
+// op reads a register, VL or VS that another op of the same word writes,
+// so every op of a word still sees the state from before the word
+// (DESIGN.md, "Replay writes results in place").
 #pragma once
 
 #include <array>
@@ -13,7 +20,7 @@
 
 namespace vuv {
 
-using VecValue = std::array<u64, 16>;
+using VecValue = std::array<u64, kMaxVl>;
 using AccValue = std::array<i64, 8>;
 
 struct CpuState {
@@ -21,25 +28,13 @@ struct CpuState {
   std::vector<u64> sregs;
   std::vector<VecValue> vregs;
   std::vector<AccValue> aregs;
-  i64 vl = 16;
+  i64 vl = kMaxVl;
   i64 vs = 8;  // stride in bytes between consecutive vector elements
 };
 
 /// One µSIMD packed operation on 64-bit words (shared by the M_* ops and by
 /// each sub-operation of the V_* ops).
 u64 packed_eval(Opcode m_op, u64 a, u64 b, i64 imm);
-
-/// Deferred register writeback: all reads in a VLIW word happen before any
-/// write (same-cycle WAR is legal in the schedule).
-struct WriteBack {
-  Reg dst;  // invalid if none
-  u64 scalar = 0;
-  VecValue vec{};
-  AccValue acc{};
-  // special-register updates
-  bool sets_vl = false, sets_vs = false;
-  i64 special = 0;
-};
 
 struct ExecInfo {
   bool branch_taken = false;
@@ -55,14 +50,10 @@ struct ExecInfo {
   i32 vl = 1;
 };
 
-/// Evaluate one decoded operation: reads `st` (and memory for loads),
-/// performs stores into `mem`, returns the deferred register writeback in
-/// `wb`. `wb` may be a reused buffer: every field apply_writeback observes
-/// is (re)defined before return.
-ExecInfo execute_decoded(const DecodedOp& d, const CpuState& st,
-                         MainMemory& mem, WriteBack& wb);
-
-/// Apply a deferred writeback to the state.
-void apply_writeback(const WriteBack& wb, CpuState& st);
+/// Execute one decoded operation: read `st` (and `mem` for loads), then
+/// write the destination register, VL or VS in `st` (stores write `mem`).
+/// A vector register write zeroes the lanes at and past VL. Throws
+/// SimError on division by zero or a VL outside [1, kMaxVl].
+ExecInfo execute_decoded(const DecodedOp& d, CpuState& st, MainMemory& mem);
 
 }  // namespace vuv

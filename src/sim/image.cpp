@@ -148,10 +148,20 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
   // statically ready by a word's cycle is ready by that word's base issue
   // time and can never bind it (DESIGN.md, "Replay skips issue checks that
   // cannot bind").
+  //
+  // The in-place guard's state, per slot: the word that last read it and
+  // that word's one reader (kMany when several of its ops read it). Replay
+  // writes each result in place, so a word in which one op reads a slot
+  // another op writes has no defined meaning and is rejected (DESIGN.md,
+  // "Replay writes results in place").
   constexpr Cycle kDynamic = std::numeric_limits<Cycle>::max();
+  constexpr u32 kNone = std::numeric_limits<u32>::max();
+  constexpr u32 kMany = kNone - 1;
   struct LastWrite {
-    u32 block = std::numeric_limits<u32>::max();
+    u32 block = kNone;
     Cycle ready = kDynamic;
+    u32 read_word = kNone;
+    u32 reader = kNone;
   };
   std::vector<LastWrite> last(lay.n_slots);
 
@@ -165,18 +175,26 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
     db.region = blk.region;
 
     for (const VliwWord& w : bs.words) {
+      const u32 wi = static_cast<u32>(im.words.size());
       DecodedWord dw;
       dw.cycle = w.cycle;
       dw.op_begin = static_cast<u32>(im.ops.size());
       i32 fu_need[7] = {0, 0, 0, 0, 0, 0, 0};
       for (i32 oi : w.ops) {
+        const u32 op_index = static_cast<u32>(im.ops.size());
         DecodedOp d = lower_op(blk.ops[static_cast<size_t>(oi)], lay, cfg);
         // Stable partition: the slots that can bind first, then the rest.
         std::array<Slot, 5> skipped;
         u8 n_skipped = 0;
         d.n_check = 0;
         for (u8 s = 0; s < d.n_ready; ++s) {
-          const LastWrite& lw = last[d.ready[s]];
+          LastWrite& lw = last[d.ready[s]];
+          if (lw.read_word != wi) {
+            lw.read_word = wi;
+            lw.reader = op_index;
+          } else if (lw.reader != op_index) {
+            lw.reader = kMany;
+          }
           if (lw.block == bi && lw.ready <= w.cycle)
             skipped[n_skipped++] = d.ready[s];
           else
@@ -186,21 +204,31 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
         ++fu_need[d.fu];
         im.ops.push_back(d);
       }
-      // The word's own writes land after all of its reads.
+      // The word's own writes land after all of its reads; `write` rejects
+      // a slot that another op of the word reads.
       for (size_t k = 0; k < w.ops.size(); ++k) {
         const OpInfo& info = blk.ops[static_cast<size_t>(w.ops[k])].info();
-        const DecodedOp& d = im.ops[dw.op_begin + k];
+        const u32 op_index = dw.op_begin + static_cast<u32>(k);
+        const DecodedOp& d = im.ops[op_index];
+        auto write = [&](Slot slot, Cycle ready) {
+          LastWrite& lw = last[slot];
+          if (lw.read_word == wi && lw.reader != op_index)
+            throw InternalError(
+                "block " + std::to_string(b) + ", cycle " +
+                std::to_string(w.cycle) +
+                ": an op writes what another op of its word reads");
+          lw.block = bi;
+          lw.ready = ready;
+        };
         const bool dynamic = info.flags.mem_load || info.flags.mem_store ||
                              info.flags.vector;
-        const LastWrite lw{bi, dynamic ? kDynamic : w.cycle + d.latency};
-        if (d.wb_full != kNoSlot) last[d.wb_full] = lw;
-        if (d.wb_chain != kNoSlot) last[d.wb_chain] = lw;
-        if (d.sets_vl) last[lay.slot_vl] = {bi, w.cycle + 1};
-        if (d.sets_vs) last[lay.slot_vs] = {bi, w.cycle + 1};
+        const Cycle ready = dynamic ? kDynamic : w.cycle + d.latency;
+        if (d.wb_full != kNoSlot) write(d.wb_full, ready);
+        if (d.wb_chain != kNoSlot) write(d.wb_chain, ready);
+        if (d.sets_vl) write(lay.slot_vl, w.cycle + 1);
+        if (d.sets_vs) write(lay.slot_vs, w.cycle + 1);
       }
       dw.op_end = static_cast<u32>(im.ops.size());
-      im.max_word_ops =
-          std::max(im.max_word_ops, static_cast<i32>(dw.op_end - dw.op_begin));
       for (int f = 1; f < 7; ++f)
         if (fu_need[f] > 0) {
           VUV_CHECK(fu_need[f] <= fu_count(cfg, static_cast<FuClass>(f)),

@@ -114,7 +114,6 @@ struct ExecImage {
   // Flat scoreboard layout (ready-time slots).
   u32 n_slots = 0;
   Slot slot_vl = 0, slot_vs = 0;
-  i32 max_word_ops = 0;            // widest word (sizes writeback buffers)
   bool operator==(const ExecImage& o) const = default;
 };
 
@@ -125,7 +124,11 @@ struct ExecImage {
 /// exactly when its last writer is an earlier word of the same block, is
 /// neither a memory op nor VL-dependent, and the two words' static cycles
 /// differ by at least that writer's latency (1 for VL/VS). Throws
-/// InternalError as SlotLayout does.
+/// InternalError as SlotLayout does, and for a word in which one op reads a
+/// register, vector chain point, VL or VS that another op of the same word
+/// writes: replay writes each result in place (see sim/exec.hpp), and the
+/// list scheduler never emits such a word. An op may read its own
+/// destination.
 ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg);
 
 }  // namespace vuv

@@ -114,7 +114,6 @@ void add_core(std::string& s, const MachineConfig& c) {
   add(s, c.l2_ports);
   add(s, c.lanes);
   add(s, c.l2_port_elems);
-  add(s, c.max_vl);
 }
 
 void add_hierarchy(std::string& s, const MemParams& m) {

@@ -65,8 +65,6 @@ struct MachineConfig {
   i32 lanes = 4;
   /// Width of the L2 vector-cache port in 64-bit elements (B in §3.2).
   i32 l2_port_elems = 4;
-  /// Maximum vector length (elements per vector register).
-  i32 max_vl = 16;
 
   MemParams mem;
 

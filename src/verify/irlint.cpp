@@ -9,8 +9,6 @@ namespace vuv::lint {
 
 namespace {
 
-constexpr i32 kMaxVl = 16;  // architectural maximum vector length
-
 // ---- flat register space ----------------------------------------------------
 // One dense index space over every architectural register the program can
 // name: the four allocatable classes at their declared counts, plus the two

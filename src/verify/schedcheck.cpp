@@ -118,7 +118,7 @@ class BlockChecker {
     vs_.assign(static_cast<size_t>(n), 0);
     i32 vl = entry_vl, vs = entry_vs;
     for (i32 i = 0; i < n; ++i) {
-      vl_[static_cast<size_t>(i)] = (vl == kUnknownVl) ? cfg_.max_vl : vl;
+      vl_[static_cast<size_t>(i)] = (vl == kUnknownVl) ? kMaxVl : vl;
       vs_[static_cast<size_t>(i)] = vs;
       const Operation& op = blk_.ops[static_cast<size_t>(i)];
       if (op.op == Opcode::SETVLI) vl = static_cast<i32>(op.imm);
@@ -300,9 +300,12 @@ class BlockChecker {
     std::vector<std::vector<i32>> readers(static_cast<size_t>(total));
     std::vector<i32> mem_ops;
 
+    // Every dependence spans words (lag >= 1), a WAR whose latency allows
+    // the same cycle included: replay writes each result in place, so no op
+    // of a word may read what another op of the word writes.
     auto require = [&](i32 i, i32 j, Cycle lat, const char* rule,
                        const std::string& what) {
-      lat = std::max<Cycle>(lat, 0);
+      lat = std::max<Cycle>(lat, 1);
       if (issue(j) < issue(i) + lat)
         diag(rule, j,
              what + " on op " + std::to_string(i) + ": needs issue >= " +

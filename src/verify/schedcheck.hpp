@@ -11,9 +11,11 @@
 //                          = ceil(VL / rate) cycles, Fig. 3)
 //   raw/war/waw-violation  an operand-ready-time constraint (including
 //                          vector chaining and implicit VL/VS dependences)
-//                          violated by the issue cycles
+//                          violated by the issue cycles, or both ends of the
+//                          dependence in one word (replay writes results
+//                          in place, so every dependence spans words)
 //   mem-order-violation    memory dependence (store→op / load→store within
-//                          an alias group) violated
+//                          an alias group) violated, or within one word
 //   terminator-order       control transfer not in the last word, or issued
 //                          before another op of its block
 //   sched-vl-mismatch      per-op sched_vl disagrees with the VL the forward

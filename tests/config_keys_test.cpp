@@ -51,7 +51,7 @@ constexpr size_t member_count() {
 
 static_assert(member_count<MemParams>() == 13,
               "MemParams changed: list the new field in kFields");
-static_assert(member_count<MachineConfig>() == 20,
+static_assert(member_count<MachineConfig>() == 19,
               "MachineConfig changed: list the new field in kFields");
 
 enum class Key {
@@ -66,7 +66,7 @@ struct Field {
   Key key;
 };
 
-// The 32 leaf fields: 19 of MachineConfig plus the 13 of its MemParams.
+// The 31 leaf fields: 18 of MachineConfig plus the 13 of its MemParams.
 const Field kFields[] = {
     {"name", [](MachineConfig& c) { c.name += "-renamed"; }, Key::kNeither},
     {"isa",
@@ -89,7 +89,6 @@ const Field kFields[] = {
     {"lanes", [](MachineConfig& c) { c.lanes *= 2; }, Key::kBoth},
     {"l2_port_elems", [](MachineConfig& c) { c.l2_port_elems *= 2; },
      Key::kBoth},
-    {"max_vl", [](MachineConfig& c) { c.max_vl /= 2; }, Key::kBoth},
     {"mem.l1_size", [](MachineConfig& c) { c.mem.l1_size *= 2; },
      Key::kIdentity},
     {"mem.l1_assoc", [](MachineConfig& c) { c.mem.l1_assoc *= 2; },
@@ -135,7 +134,7 @@ TEST(ConfigKeys, EveryLeafFieldIsListedOnce) {
   std::set<std::string> names;
   for (const Field& f : kFields)
     EXPECT_TRUE(names.insert(f.name).second) << f.name;
-  EXPECT_EQ(names.size(), 32u);
+  EXPECT_EQ(names.size(), 31u);
 }
 
 TEST(ConfigKeys, SignaturesCoverExactlyTheirFields) {

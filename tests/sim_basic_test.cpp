@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "ir/builder.hpp"
 #include "mem/mainmem.hpp"
 #include "sim/cpu.hpp"
+#include "sim/image.hpp"
 
 namespace vuv {
 namespace {
@@ -325,6 +327,178 @@ TEST(SimBasic, SkipRuleChecksValueFromEarlierBlock) {
   const auto checked = add.op->ready.begin() + add.op->n_check;
   EXPECT_NE(std::find(add.op->ready.begin(), checked, mv.op->wb_full), checked)
       << "the loop body's read of a value from the entry block is skipped";
+}
+
+// ---- replay writes results in place ----------------------------------------
+
+Reg ir(i32 id) { return {RegClass::kInt, id}; }
+Reg sr(i32 id) { return {RegClass::kSimd, id}; }
+Reg vr(i32 id) { return {RegClass::kVreg, id}; }
+Reg ar(i32 id) { return {RegClass::kAcc, id}; }
+
+Operation make_op(Opcode opcode, Reg dst, std::array<Reg, 3> src = {},
+                  i64 imm = 0, u16 group = 0) {
+  Operation op;
+  op.op = opcode;
+  op.dst = dst;
+  op.src = src;
+  op.imm = imm;
+  op.alias_group = group;
+  return op;
+}
+
+/// One block over physical registers, as an allocator would leave it, with
+/// a HALT appended.
+Program allocated_block(std::vector<Operation> ops) {
+  Program p;
+  p.blocks.emplace_back();
+  p.blocks[0].id = 0;
+  p.blocks[0].ops = std::move(ops);
+  p.blocks[0].ops.push_back(make_op(Opcode::HALT, Reg{}));
+  p.allocated = true;
+  return p;
+}
+
+/// `prog`'s block issued by hand: `words[c]` holds the ops of cycle c.
+ScheduledProgram hand_scheduled(const Program& prog, const MachineConfig& cfg,
+                                const std::vector<std::vector<i32>>& words) {
+  ScheduledProgram sp;
+  sp.prog = prog;
+  sp.cfg = cfg;
+  BlockSchedule& bs = sp.blocks.emplace_back();
+  bs.issue.assign(prog.blocks[0].ops.size(), 0);
+  bs.sched_vl.assign(prog.blocks[0].ops.size(), 1);
+  for (size_t c = 0; c < words.size(); ++c) {
+    bs.words.push_back({static_cast<Cycle>(c), words[c]});
+    for (const i32 o : words[c]) bs.issue[static_cast<size_t>(o)] = static_cast<Cycle>(c);
+  }
+  bs.length = static_cast<Cycle>(words.size());
+  return sp;
+}
+
+// No op of a word may read a register, vector chain point, VL or VS that
+// another op of the word writes; an op may read its own destination.
+TEST(SimBasic, LowerImageRejectsSameWordDependence) {
+  const MachineConfig cfg = MachineConfig::vector2(4);
+  auto lowers = [&](const Program& p,
+                    const std::vector<std::vector<i32>>& words) {
+    lower_image(hand_scheduled(p, cfg, words), cfg);
+  };
+
+  // RAW through an int register.
+  const Program raw = allocated_block({make_op(Opcode::MOVI, ir(1), {}, 5),
+                                       make_op(Opcode::ADD, ir(2), {ir(1), ir(1)})});
+  EXPECT_THROW(lowers(raw, {{0, 1}, {2}}), InternalError);
+  EXPECT_NO_THROW(lowers(raw, {{0}, {1}, {2}}));
+
+  // WAR through a vreg chain point: the first op, a chained vector
+  // consumer, waits on v1's chain slot, which the second op writes.
+  const Program war = allocated_block(
+      {make_op(Opcode::V_PADDB, vr(2), {vr(1), vr(1)}),
+       make_op(Opcode::V_PADDB, vr(1), {vr(3), vr(3)})});
+  ASSERT_TRUE(cfg.chaining);
+  const SlotLayout lay(cfg);
+  const ExecImage apart = lower_image(hand_scheduled(war, cfg, {{0}, {1}, {2}}), cfg);
+  ASSERT_EQ(apart.ops[0].ready[0], lay.off_vchain + 1);
+  EXPECT_THROW(lowers(war, {{0, 1}, {2}}), InternalError);
+
+  // VL: the vector op reads what the SETVLI writes.
+  const Program vl = allocated_block({make_op(Opcode::SETVLI, Reg{}, {}, 4),
+                                      make_op(Opcode::V_PADDB, vr(2), {vr(1), vr(1)})});
+  EXPECT_THROW(lowers(vl, {{0, 1}, {2}}), InternalError);
+  EXPECT_NO_THROW(lowers(vl, {{0}, {1}, {2}}));
+
+  // Ops that read their own destinations, beside independent ops.
+  const Program own = allocated_block(
+      {make_op(Opcode::ADD, ir(1), {ir(1), ir(2)}),
+       make_op(Opcode::MOVI, ir(3), {}, 1),
+       make_op(Opcode::VSADACC, ar(0), {vr(0), vr(1), ar(0)}),
+       make_op(Opcode::V_PADDB, vr(2), {vr(2), vr(3)})});
+  EXPECT_NO_THROW(lowers(own, {{0, 1, 2, 3}, {4}}));
+}
+
+// Hand-allocated blocks whose ops write one of their own sources, scheduled
+// by the list scheduler, against hand-computed values.
+TEST(SimBasic, InPlaceResultsOverwriteOwnSources) {
+  {
+    Workspace ws;
+    Buffer out = ws.alloc(16);
+    const MachineConfig cfg = MachineConfig::musimd(2);
+    const Program p = allocated_block({
+        make_op(Opcode::MOVI, ir(0), {}, out.addr),
+        make_op(Opcode::MOVI, ir(1), {}, 5),
+        make_op(Opcode::MOVI, ir(2), {}, 7),
+        make_op(Opcode::ADD, ir(1), {ir(1), ir(2)}),
+        make_op(Opcode::STD, Reg{}, {ir(1), ir(0)}, 0, out.group),
+        make_op(Opcode::MOVIS, sr(0), {}, 0x0102030405060708),
+        make_op(Opcode::MOVIS, sr(1), {}, 0x1010101010101010),
+        make_op(Opcode::M_PADDB, sr(0), {sr(0), sr(1)}),
+        make_op(Opcode::STQS, Reg{}, {sr(0), ir(0)}, 8, out.group),
+    });
+    const ExecImage im = lower_image(schedule_program(p, cfg), cfg);
+    Cpu(cfg, ws.mem(), im).run();
+    EXPECT_EQ(ws.read_u64(out), 12u);
+    EXPECT_EQ(ws.read_u64(out, 8), 0x1112131415161718u);
+  }
+  {
+    // V_PADDH v0 = v0 + v0 at VL 5 over a register loaded at VL 16: lanes
+    // 0-4 double, lanes 5-15 read zero.
+    Workspace ws;
+    Buffer in = ws.alloc(16 * 8), out = ws.alloc(16 * 8);
+    for (u32 e = 0; e < 16; ++e) ws.mem().store(in.addr + 8 * e, 8, e + 1);
+    const MachineConfig cfg = MachineConfig::vector2(2);
+    const Program p = allocated_block({
+        make_op(Opcode::MOVI, ir(0), {}, in.addr),
+        make_op(Opcode::MOVI, ir(1), {}, out.addr),
+        make_op(Opcode::SETVSI, Reg{}, {}, 8),
+        make_op(Opcode::SETVLI, Reg{}, {}, 16),
+        make_op(Opcode::VLD, vr(0), {ir(0)}, 0, in.group),
+        make_op(Opcode::SETVLI, Reg{}, {}, 5),
+        make_op(Opcode::V_PADDH, vr(0), {vr(0), vr(0)}),
+        make_op(Opcode::SETVLI, Reg{}, {}, 16),
+        make_op(Opcode::VST, Reg{}, {vr(0), ir(1)}, 0, out.group),
+    });
+    const ExecImage im = lower_image(schedule_program(p, cfg), cfg);
+    Cpu(cfg, ws.mem(), im).run();
+    for (u32 e = 0; e < 16; ++e)
+      EXPECT_EQ(ws.read_u64(out, 8 * e), e < 5 ? 2u * (e + 1) : 0u) << e;
+  }
+  {
+    // VSADACC and VMACH into a destination other than source 2: the
+    // destination starts from source 2, and source 2 keeps its value.
+    // Per element: bytes |3 - 5| on four lanes (sad 8), halves 3 * 5 on
+    // four lanes (mac 60).
+    Workspace ws;
+    Buffer in = ws.alloc(16), out = ws.alloc(24);
+    ws.mem().store(in.addr, 8, 0x0003000300030003);
+    ws.mem().store(in.addr + 8, 8, 0x0005000500050005);
+    const MachineConfig cfg = MachineConfig::vector2(2);
+    const Program p = allocated_block({
+        make_op(Opcode::MOVI, ir(0), {}, in.addr),
+        make_op(Opcode::MOVI, ir(1), {}, out.addr),
+        make_op(Opcode::SETVSI, Reg{}, {}, 8),
+        make_op(Opcode::SETVLI, Reg{}, {}, 1),
+        make_op(Opcode::VLD, vr(1), {ir(0)}, 0, in.group),
+        make_op(Opcode::VLD, vr(2), {ir(0)}, 8, in.group),
+        make_op(Opcode::CLRACC, ar(1)),
+        make_op(Opcode::VSADACC, ar(1), {vr(1), vr(2), ar(1)}),
+        make_op(Opcode::VSADACC, ar(0), {vr(1), vr(2), ar(1)}),
+        make_op(Opcode::SUMACB, ir(2), {ar(0)}),
+        make_op(Opcode::STD, Reg{}, {ir(2), ir(1)}, 0, out.group),
+        make_op(Opcode::SUMACB, ir(3), {ar(1)}),
+        make_op(Opcode::STD, Reg{}, {ir(3), ir(1)}, 8, out.group),
+        make_op(Opcode::CLRACC, ar(3)),
+        make_op(Opcode::VMACH, ar(3), {vr(1), vr(2), ar(3)}),
+        make_op(Opcode::VMACH, ar(2), {vr(1), vr(2), ar(3)}),
+        make_op(Opcode::SUMACH, ir(4), {ar(2)}),
+        make_op(Opcode::STD, Reg{}, {ir(4), ir(1)}, 16, out.group),
+    });
+    const ExecImage im = lower_image(schedule_program(p, cfg), cfg);
+    Cpu(cfg, ws.mem(), im).run();
+    EXPECT_EQ(ws.read_u64(out), 16u);      // sad + sad
+    EXPECT_EQ(ws.read_u64(out, 8), 8u);    // source 2 unchanged
+    EXPECT_EQ(ws.read_u64(out, 16), 120u); // mac + mac
+  }
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(StallCausesPinned, ColdMissIsMemLatencyNotRaw) {
 TEST(StallCausesPinned, BusyVectorUnitIsFuConflict) {
   MachineConfig cfg = MachineConfig::table2_by_name("Vector1-2w");
   cfg.mem.perfect = true;
-  const i64 vl = cfg.max_vl;  // 16 on 4 lanes: occupancy 4 cycles
+  const i64 vl = kMaxVl;  // 16 on 4 lanes: occupancy 4 cycles
 
   Workspace ws;
   Buffer in = ws.alloc(static_cast<u32>(vl) * 8);

@@ -14,7 +14,10 @@
 // redundant-setvl/setvs demonstrations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/apps.hpp"
+#include "common/error.hpp"
 #include "ir/builder.hpp"
 #include "sched/schedule.hpp"
 #include "sim/image.hpp"
@@ -447,6 +450,57 @@ TEST(SchedCheck, RejectsImageWithDroppedReadySlot) {
   ASSERT_TRUE(corrupted);
   const DiagReport r = check_image(sp, img);
   EXPECT_GE(r.count_rule("image-unsafe-skip"), 1) << r.summary();
+}
+
+// Replay writes each result in place, so no dependence may share a word,
+// not even a WAR whose latency allows the same cycle. On a two-register int
+// file the allocator hands the register an ADDI reads its last value from
+// to the next MOVI; moving that MOVI into the ADDI's word stays inside the
+// issue width and the unit counts, so the WAR is the word's only fault.
+TEST(SchedCheck, RejectsSameWordWar) {
+  MachineConfig cfg = MachineConfig::vliw(2);
+  cfg.int_regs = 2;
+  ProgramBuilder b;
+  Reg x = b.movi(5);
+  Reg y = b.addi(x, 1);   // x's last read
+  Reg base = b.movi(64);  // takes x's register
+  b.std_(y, base, 0, 1);
+  ScheduledProgram sp = compile(b.take(), cfg);
+  ASSERT_EQ(check_schedule(sp, nullptr).errors(), 0);
+
+  const std::vector<Operation>& ops = sp.prog.blocks[0].ops;
+  i32 reader = -1, writer = -1;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].op == Opcode::ADDI) reader = static_cast<i32>(i);
+    if (ops[i].op == Opcode::MOVI && ops[i].imm == 64) writer = static_cast<i32>(i);
+  }
+  ASSERT_GE(reader, 0);
+  ASSERT_GE(writer, 0);
+  ASSERT_EQ(ops[static_cast<size_t>(writer)].dst,
+            ops[static_cast<size_t>(reader)].src[0])
+      << "the allocator did not reuse the register";
+
+  BlockSchedule& bs = sp.blocks[0];
+  const Cycle t = bs.issue[static_cast<size_t>(reader)];
+  ASSERT_GT(bs.issue[static_cast<size_t>(writer)], t);
+  for (auto it = bs.words.begin(); it != bs.words.end(); ++it)
+    if (const auto pos = std::find(it->ops.begin(), it->ops.end(), writer);
+        pos != it->ops.end()) {
+      it->ops.erase(pos);
+      if (it->ops.empty()) bs.words.erase(it);
+      break;
+    }
+  for (VliwWord& w : bs.words)
+    if (w.cycle == t) {
+      ASSERT_EQ(w.ops.size(), 1u);
+      w.ops.push_back(writer);
+    }
+  bs.issue[static_cast<size_t>(writer)] = t;
+
+  const DiagReport r = check_schedule(sp, nullptr);
+  EXPECT_GE(r.count_rule("war-violation"), 1) << r.summary();
+  EXPECT_EQ(r.errors(), r.count_rule("war-violation")) << r.summary();
+  EXPECT_THROW(lower_image(sp, cfg), InternalError);
 }
 
 TEST(SchedCheck, StrictCompileRejectsLintError) {

@@ -64,6 +64,10 @@ Variant variant_for(IsaLevel lvl) {
   return Variant::kScalar;
 }
 
+CodeReads variant_reads(Variant v) {
+  return {v == Variant::kMusimd, v == Variant::kVector};
+}
+
 BuiltApp build_app(App app, Variant variant) {
   switch (app) {
     case App::kJpegEnc: return build_jpeg_enc(variant);

@@ -46,6 +46,10 @@ Variant variant_by_name(const std::string& name);
 /// architecture runs the best code its ISA supports).
 Variant variant_for(IsaLevel lvl);
 
+/// The optional classes a variant's code uses (see compile_config): scalar
+/// code uses none, µSIMD code the µSIMD class, vector code the vector one.
+CodeReads variant_reads(Variant v);
+
 struct BuiltApp {
   /// Returns "" when the simulated outputs in a workspace match the golden
   /// codec, else a description of the first mismatch.

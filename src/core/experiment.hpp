@@ -40,10 +40,12 @@ AppResult run_built(BuiltApp& built, MachineConfig cfg,
 /// hold the app's initial memory: the app's own workspace (run_built), or a
 /// copy of its unit's built snapshot (the Runner, which builds each
 /// app|variant once for all of its cells; a copy costs only the bytes
-/// written, see MainMemory). `cfg` must have the schedule_signature the
-/// image was lowered under; it may differ in `name` and `mem` (see Cpu),
-/// and the memory system is built from it. The one-configuration case of
-/// simulate_group: throws what that returns as its error.
+/// written, see MainMemory). `cfg` must agree with the image's lowering
+/// configuration on every field its code reads; it may differ in `name`,
+/// `isa`, `mem` and the fields of classes the code does not use (see Cpu),
+/// and the memory system and functional units are built from it. The
+/// one-configuration case of simulate_group: throws what that returns as
+/// its error.
 AppResult simulate_app(const std::string& name,
                        const BuiltApp::Verifier& verify, Workspace& ws,
                        const ExecImage& image, const MachineConfig& cfg);

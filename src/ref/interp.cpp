@@ -440,8 +440,12 @@ InterpResult interpret(const Program& prog, MainMemory& mem,
         case Opcode::DIV: {
           const i64 den = static_cast<i64>(iv(op.src[1]));
           if (den == 0) throw Error("ref: division by zero");
+          // Two's-complement quotient: dividing by -1 negates via 0 - v,
+          // so INT64_MIN / -1 wraps back to INT64_MIN instead of trapping.
+          const u64 num = iv(op.src[0]);
           digest = iv(op.dst) =
-              static_cast<u64>(static_cast<i64>(iv(op.src[0])) / den);
+              den == -1 ? u64{0} - num
+                        : static_cast<u64>(static_cast<i64>(num) / den);
           break;
         }
         case Opcode::SLL:

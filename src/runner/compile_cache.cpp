@@ -55,7 +55,7 @@ std::string CompileCache::key(App app, Variant variant,
                               const MachineConfig& cfg) {
   std::string key = unit_name(app, variant);
   key += '|';
-  key += schedule_signature(cfg);
+  key += schedule_signature(compile_config(cfg, variant_reads(variant)));
   return key;
 }
 
@@ -104,10 +104,6 @@ std::shared_ptr<const CompiledProgram> CompileCache::get(
   identity += '|';
   identity += compile_signature(cfg);
   const std::string k = key(app, variant, cfg);  // what is compiled
-
-  std::promise<std::shared_ptr<const CompiledProgram>> promise;
-  std::shared_future<std::shared_ptr<const CompiledProgram>> entry;
-  bool owner = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (identities_.insert(std::move(identity)).second) {
@@ -117,62 +113,89 @@ std::shared_ptr<const CompiledProgram> CompileCache::get(
       ++stats_.hits;
       if (m_hits_) m_hits_->inc();
     }
-    auto it = entries_.find(k);
-    if (it != entries_.end()) {
-      entry = it->second.compiled;
-    } else {
-      ++compiles_;
-      if (m_schedules_) m_schedules_->inc();
-      entry = promise.get_future().share();
-      entries_.emplace(k, Entry{entry, 0});
-      owner = true;
-    }
   }
 
-  if (owner) {
-    // Compile outside the lock so independent keys compile concurrently.
-    const auto started = std::chrono::steady_clock::now();
-    try {
-      // Canonicalize the compile configuration's memory hierarchy: no
-      // compile layer reads it, and each simulation supplies its own
-      // through the Cpu's configuration.
-      MachineConfig compile_cfg = cfg;
-      compile_cfg.mem = MemParams{};
-      auto cp = std::make_shared<CompiledProgram>();
-      cp->unit = built_unit(app, variant, unit);
-      const bool strict = strict_verify_.load(std::memory_order_relaxed);
-      CompileOptions copts;
-      if (strict) {
-        copts.strict_verify = true;
-        copts.mem_extent = cp->unit->ws.used();
-        copts.unit = unit;
+  for (;;) {
+    std::promise<std::shared_ptr<const CompiledProgram>> promise;
+    Entry entry;
+    bool owner = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = entries_.find(k);
+      // compile_config keeps `name`, which a compile error names: a failed
+      // compile is shared only with requesters of its name, and any other
+      // compiles the key again for an error of its own.
+      if (it != entries_.end() &&
+          !(it->second.failed && it->second.name != cfg.name)) {
+        entry = it->second;
+      } else {
+        ++compiles_;
+        if (m_schedules_) m_schedules_->inc();
+        entry = Entry{promise.get_future().share(), 0, cfg.name};
+        entries_.insert_or_assign(k, entry);
+        owner = true;
       }
-      {
-        // The schedule lives only until lowered: replay reads the image.
-        const ScheduledProgram sp = compile(
-            Program(cp->unit->program), compile_cfg, cp->unit->plan, copts);
-        cp->image = lower_image(sp, compile_cfg);
+    }
+
+    if (owner) {
+      // Compile outside the lock so independent keys compile concurrently.
+      const auto started = std::chrono::steady_clock::now();
+      try {
+        // Compile under exactly what the key holds, so the stored program
+        // cannot depend on which requester came first; each simulation
+        // supplies the rest through the Cpu's configuration.
+        const MachineConfig compile_cfg =
+            compile_config(cfg, variant_reads(variant));
+        auto cp = std::make_shared<CompiledProgram>();
+        cp->unit = built_unit(app, variant, unit);
+        const bool strict = strict_verify_.load(std::memory_order_relaxed);
+        CompileOptions copts;
         if (strict) {
-          const lint::DiagReport rep = lint::check_image(sp, cp->image, {unit});
-          if (rep.errors() > 0)
-            throw CompileError("strict image check (" + rep.summary() +
-                               "): " + lint::to_string(*rep.first_error()));
+          copts.strict_verify = true;
+          copts.mem_extent = cp->unit->ws.used();
+          copts.unit = unit;
         }
+        {
+          // The schedule lives only until lowered: replay reads the image.
+          const ScheduledProgram sp = compile(
+              Program(cp->unit->program), compile_cfg, cp->unit->plan, copts);
+          cp->image = lower_image(sp, compile_cfg);
+          if (strict) {
+            const lint::DiagReport rep =
+                lint::check_image(sp, cp->image, {unit});
+            if (rep.errors() > 0)
+              throw CompileError("strict image check (" + rep.summary() +
+                                 "): " + lint::to_string(*rep.first_error()));
+          }
+        }
+        if (m_build_us_) m_build_us_->observe(micros_since(started));
+        const i64 bytes = image_bytes(cp->image);
+        {
+          // Still present: release() leaves in-flight entries alone.
+          std::lock_guard<std::mutex> lock(mu_);
+          entries_.at(k).bytes = bytes;
+          if (m_bytes_) m_bytes_->add(bytes);
+        }
+        promise.set_value(std::move(cp));
+      } catch (...) {
+        {
+          // Still present and still this requester's: only a failed entry
+          // is replaced.
+          std::lock_guard<std::mutex> lock(mu_);
+          entries_.at(k).failed = true;
+        }
+        promise.set_exception(std::current_exception());
       }
-      if (m_build_us_) m_build_us_->observe(micros_since(started));
-      const i64 bytes = image_bytes(cp->image);
-      {
-        // Still present: release() leaves in-flight entries alone.
-        std::lock_guard<std::mutex> lock(mu_);
-        entries_.at(k).bytes = bytes;
-        if (m_bytes_) m_bytes_->add(bytes);
-      }
-      promise.set_value(std::move(cp));
+    }
+
+    try {
+      return entry.compiled.get();
     } catch (...) {
-      promise.set_exception(std::current_exception());
+      if (entry.name == cfg.name) throw;
+      // Another name's failure: the entry is marked failed by now, so the
+      // next look compiles for this requester unless one of its name has.
     }
   }
-  return entry.get();
 }
 
 void CompileCache::release(const std::string& key) {

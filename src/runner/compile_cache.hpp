@@ -1,5 +1,6 @@
-// Thread-safe cache of compiled programs, keyed by (app, variant,
-// schedule_signature(cfg)) — see key(). Each app|variant unit is built,
+// Thread-safe cache of compiled programs, keyed by what each compile reads:
+// (app, variant, schedule_signature(compile_config(cfg, the variant's
+// classes))) — see key(). Each app|variant unit is built,
 // verified and register-planned (sched/regalloc.hpp) exactly once, since
 // none of the three reads a configuration, and stays resident with its
 // plan. Each key runs the linear scan against the unit's plan, is scheduled
@@ -7,17 +8,20 @@
 // under concurrent requests: the first requester builds or
 // compiles while later ones block on a shared_future for the same key. No
 // compile layer reads `mem` (the compiler assumes every access hits, paper
-// §3.3/§4.2), so the key leaves it out and every compile runs with `mem`
-// reset to MemParams{}: the stored program cannot depend on which requester
-// came first. The cached CompiledProgram is immutable and shared by every
-// simulation of that cell family — both memory modes and every
-// memory-hierarchy design point of a core — and points at its unit's build,
-// whose workspace is the initial-memory snapshot every one of those
-// simulations copies. A compile keeps only its execution image: replay
-// reads nothing else, so the schedule is dropped once lowered. release()
-// drops a compile (Runner::run does, after a sweep's last cell that uses
-// it); a later request compiles it again, a pure function of the unit and
-// the key, so results cannot change.
+// §3.3/§4.2) or `isa`, and a variant's code reads no field of a register or
+// unit class it does not use, so every compile runs under its compile_config
+// (sim/machine_config.hpp), which resets all of those: the stored program
+// cannot depend on which requester came first. The cached CompiledProgram
+// is immutable and shared by every simulation of that cell family — both
+// memory modes, every memory-hierarchy design point of a core, and, for
+// scalar code, every core with the same VLIW base (Table 2's µSIMD and
+// Vector cores add only classes scalar code does not use) — and points at
+// its unit's build, whose workspace is the initial-memory snapshot every
+// one of those simulations copies. A compile keeps only its execution
+// image: replay reads nothing else, so the schedule is dropped once
+// lowered. release() drops a compile (Runner::run does, after a sweep's
+// last cell that uses it); a later request compiles it again, a pure
+// function of the unit and the key, so results cannot change.
 #pragma once
 
 #include <atomic>
@@ -68,14 +72,17 @@ class CompileCache {
     i64 misses = 0;  // first requests for an identity
   };
 
-  /// The compile key: app|variant|schedule_signature(cfg). The one place
-  /// that knows the format; Runner::run counts its cells per key with it.
+  /// The compile key: app|variant|schedule_signature(compile_config(cfg,
+  /// variant_reads(variant))). The one place that knows the format;
+  /// Runner::run groups and counts its cells per key with it.
   static std::string key(App app, Variant variant, const MachineConfig& cfg);
 
   /// Get (compiling unless resident) the execution image for `app` built
-  /// in `variant` and compiled for `cfg`. Compilation failures are rethrown
-  /// to every requester of the key. The returned compile stays valid for
-  /// its holders after release().
+  /// in `variant` and compiled for `cfg`. A failed compile is rethrown to
+  /// every requester of the key with the configuration name it was compiled
+  /// under (its error names it); a requester under another name compiles
+  /// the key again, so each error names the configuration it was asked
+  /// for. The returned compile stays valid for its holders after release().
   std::shared_ptr<const CompiledProgram> get(App app, Variant variant,
                                              const MachineConfig& cfg);
 
@@ -90,7 +97,7 @@ class CompileCache {
 
   /// Number of compiles run so far, as the compile_cache.schedules counter:
   /// one per distinct key while resident, plus one per recompile of a
-  /// released key.
+  /// released key or of a failed key under another name.
   i64 compiled_programs() const;
 
   /// Opt into strict static verification: every program this cache compiles
@@ -117,6 +124,8 @@ class CompileCache {
   struct Entry {
     std::shared_future<std::shared_ptr<const CompiledProgram>> compiled;
     i64 bytes = 0;  // image bytes, set before `compiled` becomes ready
+    std::string name;     // the configuration name compiled under
+    bool failed = false;  // set before `compiled` holds the error
   };
 
   using BuiltEntry = std::shared_future<std::shared_ptr<const BuiltUnit>>;

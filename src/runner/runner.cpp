@@ -91,18 +91,27 @@ void Runner::simulate_cells(const std::vector<Pending>& cells,
         todo.push_back(i);
     }
 
-    if (!todo.empty()) {
-      // Every cell asks for the compile with its own configuration, so
-      // CompileCache::Stats keeps counting configuration identities; all
-      // of them share one compile key, hence one image.
-      std::vector<MachineConfig> cfgs;
-      cfgs.reserve(todo.size());
-      std::shared_ptr<const CompiledProgram> cp;
-      for (const size_t i : todo) {
-        MachineConfig& cfg = cfgs.emplace_back(cells[i].cell.cfg);
-        cfg.mem.perfect = cells[i].cell.perfect;
+    // Every cell asks for the compile with its own configuration, so
+    // CompileCache::Stats keeps counting configuration identities and a
+    // failed compile fails each cell with its own error; all of them share
+    // one compile key, hence one image.
+    std::vector<MachineConfig> cfgs;
+    cfgs.reserve(todo.size());
+    std::shared_ptr<const CompiledProgram> cp;
+    std::erase_if(todo, [&](size_t i) {
+      MachineConfig cfg = cells[i].cell.cfg;
+      cfg.mem.perfect = cells[i].cell.perfect;
+      try {
         cp = compile_cache_.get(cells[i].cell.app, cells[i].cell.variant, cfg);
+      } catch (...) {
+        failed[i] = std::current_exception();
+        return true;
       }
+      cfgs.push_back(std::move(cfg));
+      return false;
+    });
+
+    if (!todo.empty()) {
       const auto t0 = std::chrono::steady_clock::now();
       const BuiltUnit& unit = *cp->unit;
       Workspace ws = unit.ws;  // the walk's own copy of the initial memory
@@ -153,8 +162,8 @@ void Runner::simulate_cells(const std::vector<Pending>& cells,
       }
     }
   } catch (...) {
-    // The compile, the workspace copy or the verify failed: every cell not
-    // yet settled fails with it, as each would alone.
+    // The workspace copy or the verify failed: every cell not yet settled
+    // fails with it, as each would alone.
     for (size_t i = 0; i < cells.size(); ++i)
       if (!done[i] && !failed[i]) failed[i] = std::current_exception();
   }

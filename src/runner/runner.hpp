@@ -1,8 +1,9 @@
 // Parallel sweep executor: runs the cells of a SweepSpec on a thread pool,
-// sharing one CompileCache (each app|variant built once, each unique (app,
-// variant, schedule_signature) compiled once while resident, so the memory
-// modes and memory-hierarchy design points of a core share one compile)
-// while giving every simulation its own timing state and memory system.
+// sharing one CompileCache (each app|variant built once, each unique
+// CompileCache::key compiled once while resident, so the memory modes and
+// memory-hierarchy design points of a core share one compile, as does
+// scalar code on every core with the same VLIW base) while giving every
+// simulation its own timing state and memory system.
 // run() hands all of a spec's cells that share a compile key to one pool
 // task, which replays them from one functional walk on one copy of the
 // unit's initial Workspace (simulate_group): a spec with fewer groups than

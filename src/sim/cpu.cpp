@@ -185,8 +185,8 @@ void replay(const ExecImage& im, const MachineConfig& cfg, MainMemory& mem,
             [[maybe_unused]] StallProfile* profile) {
   if constexpr (!kGroup) n = 1;
 
-  // Register-file sizes are part of the schedule signature: every state
-  // of a group agrees on them.
+  // `cfg` is the image's compile_config, whose register-file sizes every
+  // state of a group shares (Cpu checks each against image.signature).
   CpuState st;
   st.iregs.assign(static_cast<size_t>(cfg.int_regs), 0);
   st.sregs.assign(static_cast<size_t>(std::max(cfg.simd_regs, 1)), 0);
@@ -367,7 +367,8 @@ Cpu::Cpu(std::span<const MachineConfig> cfgs, MainMemory& mem,
     : cfgs_(cfgs), mem_(mem), image_(image) {
   VUV_CHECK(!cfgs.empty(), "a replay needs at least one configuration");
   for (const MachineConfig& cfg : cfgs)
-    VUV_CHECK(schedule_signature(cfg) == image.signature,
+    VUV_CHECK(schedule_signature(compile_config(cfg, image.reads)) ==
+                  image.signature,
               "simulation config is incompatible with the compiled program");
 }
 
@@ -379,7 +380,8 @@ SimResult Cpu::run(Cycle max_cycles) {
   for (const auto& [start, bytes] : warm_) memsys.warm(start, bytes);
   Timing t(cfg, image_, memsys);
   Timing* one = &t;
-  replay<false>(image_, cfg, mem_, &one, 1, max_cycles, trace_, profile_);
+  replay<false>(image_, compile_config(cfg, image_.reads), mem_, &one, 1,
+                max_cycles, trace_, profile_);
   return std::move(t.res);
 }
 
@@ -407,8 +409,9 @@ std::vector<SimOutcome> Cpu::run_group(Cycle max_cycles) {
     act.push_back(&states.emplace_back(cfg, image_, ms));
   }
   try {
-    replay<true>(image_, cfgs_[0], mem_, act.data(),
-                 static_cast<i32>(act.size()), max_cycles, nullptr, nullptr);
+    replay<true>(image_, compile_config(cfgs_[0], image_.reads), mem_,
+                 act.data(), static_cast<i32>(act.size()), max_cycles, nullptr,
+                 nullptr);
   } catch (...) {
     // A functional error: it fails every state still running, exactly as
     // it fails each of their own runs.

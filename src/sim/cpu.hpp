@@ -79,20 +79,25 @@ struct SimOutcome {
 class Cpu {
  public:
   /// Replay `image` under `cfg`. The image is all replay reads: the
-  /// schedule it was lowered from may be gone. `cfg` must have the
-  /// schedule_signature the image was lowered under (image.signature,
-  /// checked); it may differ in `name` and anything in `mem`, since the
-  /// compiler assumes every access hits and the memory system is built from
-  /// `cfg` at run time. That is how the runner's CompileCache shares one
-  /// image between every memory mode and memory-hierarchy design point of
-  /// a core. `cfg`, `mem` and `image` must outlive the Cpu.
+  /// schedule it was lowered from may be gone. `cfg` must agree with the
+  /// lowering configuration on everything the code reads:
+  /// schedule_signature(compile_config(cfg, image.reads)) must be
+  /// image.signature (checked). So it may differ in `name`, `isa`, anything
+  /// in `mem`, since the compiler assumes every access hits and the memory
+  /// system is built from `cfg` at run time, and the fields of the classes
+  /// the image does not record, which its code does not use; functional
+  /// units are counted from `cfg` too. That is how the runner's
+  /// CompileCache shares one image between every memory mode and
+  /// memory-hierarchy design point of a core, and scalar code's image
+  /// between a VLIW core and the µSIMD and Vector cores built on it.
+  /// `cfg`, `mem` and `image` must outlive the Cpu.
   Cpu(const MachineConfig& cfg, MainMemory& mem, const ExecImage& image);
 
   /// Replay `image` once for every configuration of `cfgs` in lockstep
   /// (run_group): one functional walk (CpuState, `mem`, control flow)
   /// drives one timing state per configuration. Every configuration must
-  /// pass the signature check above, so they differ only in `name` and
-  /// `mem`. `cfgs` must be non-empty and outlive the Cpu.
+  /// pass the signature check above, so they agree on every field the code
+  /// reads. `cfgs` must be non-empty and outlive the Cpu.
   Cpu(std::span<const MachineConfig> cfgs, MainMemory& mem,
       const ExecImage& image);
 

@@ -121,7 +121,10 @@ ExecInfo execute_decoded(const DecodedOp& d, CpuState& st, MainMemory& mem) {
     case Opcode::DIV: {
       const i64 den = static_cast<i64>(iv(1));
       if (den == 0) throw SimError("division by zero");
-      set_i(static_cast<u64>(static_cast<i64>(iv(0)) / den));
+      // Divide by -1 as a u64 negation: INT64_MIN / -1 wraps to INT64_MIN,
+      // as ABS does, instead of overflowing (a hardware trap on x86-64).
+      set_i(den == -1 ? u64{0} - iv(0)
+                      : static_cast<u64>(static_cast<i64>(iv(0)) / den));
       break;
     }
     case Opcode::SLL: set_i(iv(1) >= 64 ? 0 : iv(0) << iv(1)); break;

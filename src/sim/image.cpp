@@ -8,7 +8,9 @@
 namespace vuv {
 
 SlotLayout::SlotLayout(const MachineConfig& cfg) {
-  // Mirrors the register-file sizing of Cpu::run's CpuState exactly.
+  // Mirrors the register-file sizing of Cpu::run's CpuState, which sizes
+  // the files from the image's compile_config: the same for every file of
+  // a class with units, and code uses no file of a class without them.
   const u32 ni = static_cast<u32>(cfg.int_regs);
   const u32 ns = static_cast<u32>(std::max(cfg.simd_regs, 1));
   const u32 nv = static_cast<u32>(std::max(cfg.vec_regs, 1));
@@ -131,7 +133,8 @@ ExecImage lower_image(const ScheduledProgram& sp, const MachineConfig& cfg) {
   const SlotLayout lay(cfg);
   ExecImage im;
   im.region_names = prog.region_names;
-  im.signature = schedule_signature(cfg);
+  im.reads = {cfg.simd_units > 0, cfg.vec_units > 0};
+  im.signature = schedule_signature(compile_config(cfg, im.reads));
   im.entry = prog.entry;
   im.n_slots = lay.n_slots;
   im.slot_vl = static_cast<Slot>(lay.slot_vl);

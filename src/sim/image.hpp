@@ -109,7 +109,13 @@ struct ExecImage {
   std::vector<DecodedWord> words;  // all words, block-major
   std::vector<DecodedBlock> blocks;
   std::vector<std::string> region_names;  // the program's, by region id
-  std::string signature;  // schedule_signature of the lowering config
+  // The optional classes the image was lowered for: each class with units
+  // in the lowering configuration. Code cannot use a class without units
+  // (check_isa_level), so these cover every class the code uses.
+  CodeReads reads;
+  // schedule_signature(compile_config(lowering config, reads)): what Cpu
+  // requires each of its configurations to match (see Cpu).
+  std::string signature;
   i32 entry = 0;
   // Flat scoreboard layout (ready-time slots).
   u32 n_slots = 0;
@@ -117,9 +123,11 @@ struct ExecImage {
   bool operator==(const ExecImage& o) const = default;
 };
 
-/// Lower a scheduled program for simulation under `cfg`. `cfg` must have
-/// the same schedule_signature as sp.cfg; chaining, register-file sizes and
-/// functional-unit counts are baked into the image, no `mem` field is.
+/// Lower a scheduled program for simulation under `cfg`. `cfg` must agree
+/// with sp.cfg on every field the code reads; chaining, register-file sizes
+/// and functional-unit counts are baked into the image, no `mem` field is.
+/// The image records the classes with units in `cfg` and signs itself with
+/// their compile_config's schedule_signature.
 /// Each op's `ready` is stably partitioned: a slot goes past `n_check`
 /// exactly when its last writer is an earlier word of the same block, is
 /// neither a memory op nor VL-dependent, and the two words' static cycles

@@ -156,4 +156,26 @@ std::string schedule_signature(const MachineConfig& c) {
   return s;
 }
 
+MachineConfig compile_config(const MachineConfig& cfg, CodeReads reads) {
+  const MachineConfig d;
+  MachineConfig c = cfg;
+  c.mem = d.mem;
+  c.isa = d.isa;
+  if (!reads.simd) {
+    c.simd_regs = d.simd_regs;
+    c.simd_units = d.simd_units;
+  }
+  if (!reads.vector) {
+    c.vec_regs = d.vec_regs;
+    c.acc_regs = d.acc_regs;
+    c.vec_units = d.vec_units;
+    c.l2_ports = d.l2_ports;
+    c.lanes = d.lanes;
+    c.l2_port_elems = d.l2_port_elems;
+    c.stride_aware_sched = d.stride_aware_sched;
+    c.chaining = d.chaining;
+  }
+  return c;
+}
+
 }  // namespace vuv

@@ -101,14 +101,35 @@ struct MachineConfig {
 /// its field order is fixed.
 std::string compile_signature(const MachineConfig& cfg);
 
-/// Stable textual key of exactly the fields the compile layers read:
+/// Stable textual key of the fields the compile layers can read:
 /// allocate_registers, schedule_program and lower_image. It is
 /// compile_signature without `mem`: the compiler schedules every memory
 /// operation as if it hits (paper §3.3/§4.2) and the processor stalls at
 /// run time instead, so configurations that differ only in their memory
-/// hierarchy get identical ScheduledPrograms and ExecImages. CompileCache
-/// compiles once per app|variant|schedule_signature, and Cpu accepts a
-/// compiled program for any configuration with the same schedule_signature.
+/// hierarchy get identical ScheduledPrograms and ExecImages. A given
+/// program reads fewer: CompileCache keys each compile by the
+/// schedule_signature of its compile_config, and Cpu accepts an image for
+/// any configuration whose compile_config has the image's signature.
 std::string schedule_signature(const MachineConfig& cfg);
+
+/// The optional register and unit classes a program's code may use. Every
+/// program may use the integer, memory and branch classes.
+struct CodeReads {
+  bool simd = false;    // µSIMD ops, LDQS/STQS: SIMD registers and units
+  bool vector = false;  // vector ops: vector registers, accumulators, units
+  bool operator==(const CodeReads&) const = default;
+};
+
+/// The configuration code that uses the classes `reads` is compiled and
+/// replayed under: `cfg` with `mem`, `isa` and every field of a class the
+/// code does not use reset to its MachineConfig{} value. µSIMD owns
+/// simd_regs and simd_units; vector owns vec_regs, acc_regs, vec_units,
+/// l2_ports, lanes, l2_port_elems, stride_aware_sched and chaining. `name`
+/// is kept for diagnostics, and the fields every program reads (issue
+/// width, integer registers, integer, branch and L1 units, memory
+/// disambiguation) are kept. A reset class has no units and no registers,
+/// so code that uses it fails to compile (check_isa_level, the linear
+/// scan) rather than share a compile it does not fit.
+MachineConfig compile_config(const MachineConfig& cfg, CodeReads reads);
 
 }  // namespace vuv

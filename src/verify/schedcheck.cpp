@@ -719,6 +719,25 @@ std::vector<Slot> read_slots(const Operation& op, const SlotLayout& lay,
   return slots;
 }
 
+/// Whether `op` uses only classes `reads` records: its unit class and the
+/// register class of each operand.
+bool uses_only(const Operation& op, CodeReads reads) {
+  auto ok = [&](RegClass c) {
+    if (c == RegClass::kSimd) return reads.simd;
+    if (c == RegClass::kVreg || c == RegClass::kAcc) return reads.vector;
+    return true;
+  };
+  const OpInfo& info = op.info();
+  if (info.fu == FuClass::kSimd && !reads.simd) return false;
+  if ((info.fu == FuClass::kVec || info.fu == FuClass::kVecMem) &&
+      !reads.vector)
+    return false;
+  if (!ok(op.dst.cls)) return false;
+  for (u8 s = 0; s < info.nsrc; ++s)
+    if (!ok(op.src[s].cls)) return false;
+  return true;
+}
+
 /// The last write to one scoreboard slot within the block being checked.
 struct SlotWrite {
   const Operation* by = nullptr;  // null: not written in this block yet
@@ -781,7 +800,11 @@ DiagReport check_image(const ScheduledProgram& sp, const ExecImage& image,
   if (image.entry != sp.prog.entry) diag(-1, "entry block differs");
   if (image.region_names != sp.prog.region_names)
     diag(-1, "region names differ");
-  if (image.signature != schedule_signature(sp.cfg))
+  // Replay accepts any configuration that agrees on the classes the image
+  // records, so the signature is compared through them, and the code may
+  // use no other class.
+  if (image.signature !=
+      schedule_signature(compile_config(sp.cfg, image.reads)))
     diag(-1, "schedule signature differs from the schedule's configuration");
 
   // The skip rule, re-derived from the schedule: each op's `ready` must be
@@ -841,6 +864,9 @@ DiagReport check_image(const ScheduledProgram& sp, const ExecImage& image,
           continue;
         }
         ++need[static_cast<size_t>(op.info().fu)];
+        if (!uses_only(op, image.reads))
+          diag(bi, "'" + vuv::to_string(op) +
+                       "' uses a class the image was not lowered for");
 
         const i32 wi = static_cast<i32>(w);
         if (dop.n_ready > dop.ready.size() || dop.n_check > dop.n_ready) {

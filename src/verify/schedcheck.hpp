@@ -58,7 +58,9 @@ DiagReport check_schedule(const ScheduledProgram& sp, const Program* source,
 /// Check that `image` is a faithful lowering of `sp` (op order, word
 /// boundaries, per-word functional-unit demand, the region names and
 /// schedule signature replay reads in place of the schedule, and each op's
-/// issue-check slots, including the proof of every skipped one).
+/// issue-check slots, including the proof of every skipped one). The
+/// signature is that of compile_config(sp.cfg, image.reads), and every op
+/// must use only the classes image.reads records.
 DiagReport check_image(const ScheduledProgram& sp, const ExecImage& image,
                        const SchedCheckOptions& opts = {});
 

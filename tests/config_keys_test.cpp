@@ -1,16 +1,21 @@
-// Key-completeness properties of the two configuration keys
-// (sim/machine_config.hpp). Every leaf field of MachineConfig and MemParams
-// is perturbed in turn:
+// Key-completeness properties of the configuration keys
+// (sim/machine_config.hpp) and of the compile key built on them
+// (CompileCache::key). Every leaf field of MachineConfig and MemParams is
+// perturbed in turn:
 //   - compile_signature, the configuration identity, must change for every
 //     field except the label `name` and the per-cell mode `mem.perfect`;
-//   - schedule_signature, the compile layers' key, must change exactly for
-//     the fields outside `name` and `mem`;
-//   - a field that leaves schedule_signature unchanged must leave the
-//     compiled program (allocated ops, words, issue cycles, scheduler VLs)
-//     and its execution image unchanged, and Cpu must accept the base
-//     compile under the perturbed configuration;
-//   - a field that changes schedule_signature must make Cpu reject the base
-//     compile.
+//   - schedule_signature must change exactly for the fields outside `name`
+//     and `mem`;
+//   - for each variant, the compile key must change exactly for the fields
+//     its code reads: those every program reads plus those of the classes
+//     it uses (compile_config). For a field the key drops, the program
+//     compiled and lowered under the full perturbed configuration is
+//     compared with the base: equal as a whole for a field no compile layer
+//     reads (`name`, `isa`, `mem`), equal in its allocated ops, words, issue
+//     cycles, scheduler VLs and image ops, words and blocks for a field of
+//     a class the code does not use; and Cpu must accept the base image
+//     under the perturbed configuration;
+//   - a field the key keeps must make Cpu reject the base image.
 // A field added to either struct fails to build here until kFields lists it.
 #include <gtest/gtest.h>
 
@@ -20,6 +25,7 @@
 
 #include "apps/apps.hpp"
 #include "common/error.hpp"
+#include "runner/compile_cache.hpp"
 #include "sim/cpu.hpp"
 #include "sim/image.hpp"
 
@@ -60,70 +66,103 @@ enum class Key {
   kBoth,      // read by a compile layer: both signatures
 };
 
+// The compile key that holds a field (see compile_config).
+enum class Owner {
+  kNone,    // name, isa, mem: no compile layer reads it
+  kEvery,   // every program's code reads it
+  kSimd,    // only code that uses the µSIMD class reads it
+  kVector,  // only code that uses the vector class reads it
+};
+
 struct Field {
   const char* name;
   void (*perturb)(MachineConfig&);
   Key key;
+  Owner owner;
 };
 
 // The 31 leaf fields: 18 of MachineConfig plus the 13 of its MemParams.
 const Field kFields[] = {
-    {"name", [](MachineConfig& c) { c.name += "-renamed"; }, Key::kNeither},
+    {"name", [](MachineConfig& c) { c.name += "-renamed"; }, Key::kNeither,
+     Owner::kNone},
     {"isa",
      [](MachineConfig& c) {
        c.isa = c.isa == IsaLevel::kVector ? IsaLevel::kScalar
                                           : IsaLevel::kVector;
      },
-     Key::kBoth},
-    {"issue_width", [](MachineConfig& c) { c.issue_width *= 2; }, Key::kBoth},
-    {"int_regs", [](MachineConfig& c) { ++c.int_regs; }, Key::kBoth},
-    {"simd_regs", [](MachineConfig& c) { ++c.simd_regs; }, Key::kBoth},
-    {"vec_regs", [](MachineConfig& c) { ++c.vec_regs; }, Key::kBoth},
-    {"acc_regs", [](MachineConfig& c) { ++c.acc_regs; }, Key::kBoth},
-    {"int_units", [](MachineConfig& c) { ++c.int_units; }, Key::kBoth},
-    {"simd_units", [](MachineConfig& c) { ++c.simd_units; }, Key::kBoth},
-    {"vec_units", [](MachineConfig& c) { ++c.vec_units; }, Key::kBoth},
-    {"branch_units", [](MachineConfig& c) { ++c.branch_units; }, Key::kBoth},
-    {"l1_ports", [](MachineConfig& c) { ++c.l1_ports; }, Key::kBoth},
-    {"l2_ports", [](MachineConfig& c) { ++c.l2_ports; }, Key::kBoth},
-    {"lanes", [](MachineConfig& c) { c.lanes *= 2; }, Key::kBoth},
+     Key::kBoth, Owner::kNone},
+    {"issue_width", [](MachineConfig& c) { c.issue_width *= 2; }, Key::kBoth,
+     Owner::kEvery},
+    {"int_regs", [](MachineConfig& c) { ++c.int_regs; }, Key::kBoth,
+     Owner::kEvery},
+    {"simd_regs", [](MachineConfig& c) { ++c.simd_regs; }, Key::kBoth,
+     Owner::kSimd},
+    {"vec_regs", [](MachineConfig& c) { ++c.vec_regs; }, Key::kBoth,
+     Owner::kVector},
+    {"acc_regs", [](MachineConfig& c) { ++c.acc_regs; }, Key::kBoth,
+     Owner::kVector},
+    {"int_units", [](MachineConfig& c) { ++c.int_units; }, Key::kBoth,
+     Owner::kEvery},
+    {"simd_units", [](MachineConfig& c) { ++c.simd_units; }, Key::kBoth,
+     Owner::kSimd},
+    {"vec_units", [](MachineConfig& c) { ++c.vec_units; }, Key::kBoth,
+     Owner::kVector},
+    {"branch_units", [](MachineConfig& c) { ++c.branch_units; }, Key::kBoth,
+     Owner::kEvery},
+    {"l1_ports", [](MachineConfig& c) { ++c.l1_ports; }, Key::kBoth,
+     Owner::kEvery},
+    {"l2_ports", [](MachineConfig& c) { ++c.l2_ports; }, Key::kBoth,
+     Owner::kVector},
+    {"lanes", [](MachineConfig& c) { c.lanes *= 2; }, Key::kBoth,
+     Owner::kVector},
     {"l2_port_elems", [](MachineConfig& c) { c.l2_port_elems *= 2; },
-     Key::kBoth},
+     Key::kBoth, Owner::kVector},
     {"mem.l1_size", [](MachineConfig& c) { c.mem.l1_size *= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.l1_assoc", [](MachineConfig& c) { c.mem.l1_assoc *= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.l2_size", [](MachineConfig& c) { c.mem.l2_size /= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.l2_assoc", [](MachineConfig& c) { c.mem.l2_assoc /= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.l2_banks", [](MachineConfig& c) { c.mem.l2_banks *= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.l3_size", [](MachineConfig& c) { c.mem.l3_size *= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.l3_assoc", [](MachineConfig& c) { c.mem.l3_assoc *= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.line_size", [](MachineConfig& c) { c.mem.line_size *= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.lat_l1", [](MachineConfig& c) { c.mem.lat_l1 += 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.lat_l2", [](MachineConfig& c) { c.mem.lat_l2 += 3; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.lat_l3", [](MachineConfig& c) { c.mem.lat_l3 *= 2; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.lat_mem", [](MachineConfig& c) { c.mem.lat_mem /= 5; },
-     Key::kIdentity},
+     Key::kIdentity, Owner::kNone},
     {"mem.perfect", [](MachineConfig& c) { c.mem.perfect = !c.mem.perfect; },
-     Key::kNeither},
+     Key::kNeither, Owner::kNone},
     {"mem_disambiguation",
      [](MachineConfig& c) { c.mem_disambiguation = !c.mem_disambiguation; },
-     Key::kBoth},
+     Key::kBoth, Owner::kEvery},
     {"stride_aware_sched",
      [](MachineConfig& c) { c.stride_aware_sched = !c.stride_aware_sched; },
-     Key::kBoth},
+     Key::kBoth, Owner::kVector},
     {"chaining", [](MachineConfig& c) { c.chaining = !c.chaining; },
-     Key::kBoth},
+     Key::kBoth, Owner::kVector},
 };
+
+/// Whether code that uses the classes `reads` reads field `f`.
+bool read_by(const Field& f, CodeReads reads) {
+  switch (f.owner) {
+    case Owner::kNone: return false;
+    case Owner::kEvery: return true;
+    case Owner::kSimd: return reads.simd;
+    case Owner::kVector: return reads.vector;
+  }
+  return true;
+}
 
 MachineConfig perturbed(MachineConfig cfg, const Field& f) {
   f.perturb(cfg);
@@ -166,25 +205,49 @@ const Unit kUnits[] = {
 TEST(ConfigKeys, CompiledProgramChangesOnlyWithScheduleSignature) {
   for (const Unit& u : kUnits) {
     SCOPED_TRACE(variant_name(u.variant));
+    const CodeReads reads = variant_reads(u.variant);
+    const std::string base_key = CompileCache::key(u.app, u.variant, u.cfg);
     const BuiltApp built = build_app(u.app, u.variant);
     const ScheduledProgram base_sp = compile(Program(built.program), u.cfg);
     ASSERT_TRUE(base_sp.prog.allocated);
     const ExecImage base_image = lower_image(base_sp, u.cfg);
     MainMemory& mem = built.ws->mem();
 
+    // CompileCache compiles under the key's configuration: the same image.
+    const MachineConfig key_cfg = compile_config(u.cfg, reads);
+    EXPECT_TRUE(lower_image(compile(Program(built.program), key_cfg),
+                            key_cfg) == base_image)
+        << "image under the key's configuration differs";
+
     for (const Field& f : kFields) {
       SCOPED_TRACE(f.name);
       const MachineConfig cfg = perturbed(u.cfg, f);
-      if (f.key == Key::kBoth) {
-        EXPECT_THROW((void)Cpu(base_sp, cfg, mem, base_image), InternalError);
+      const bool read = read_by(f, reads);
+      EXPECT_EQ(CompileCache::key(u.app, u.variant, cfg) != base_key, read);
+      if (read) {
+        EXPECT_THROW((void)Cpu(cfg, mem, base_image), InternalError);
         continue;
       }
       const ScheduledProgram sp = compile(Program(built.program), cfg);
-      EXPECT_TRUE(sp.prog == base_sp.prog) << "allocated ops differ";
+      const ExecImage image = lower_image(sp, cfg);
       EXPECT_TRUE(sp.blocks == base_sp.blocks)
           << "words, issue cycles or scheduler VLs differ";
-      EXPECT_TRUE(lower_image(sp, cfg) == base_image) << "image differs";
-      EXPECT_NO_THROW((void)Cpu(base_sp, cfg, mem, base_image));
+      if (f.owner == Owner::kNone) {
+        EXPECT_TRUE(sp.prog == base_sp.prog) << "allocated program differs";
+        EXPECT_TRUE(image == base_image) << "image differs";
+      } else {
+        // A field of a class the code does not use. The allocated program
+        // records its register-file sizes, and the image its scoreboard
+        // layout and the classes with units; the code reads none of the
+        // class's registers, slots or units.
+        EXPECT_TRUE(sp.prog.blocks == base_sp.prog.blocks)
+            << "allocated ops differ";
+        EXPECT_TRUE(image.ops == base_image.ops) << "image ops differ";
+        EXPECT_TRUE(image.words == base_image.words) << "image words differ";
+        EXPECT_TRUE(image.blocks == base_image.blocks)
+            << "image blocks differ";
+      }
+      EXPECT_NO_THROW((void)Cpu(cfg, mem, base_image));
     }
   }
 }

@@ -19,7 +19,8 @@
 // 0:300 of each variant on the fuzzer's configuration rotation, each under
 // realistic, perfect and two small hierarchies. Then the failure rules: a
 // cycle budget fails only the point that passes it, and a functional error
-// fails every point still running.
+// fails every point still running. Groups may also mix cores: scalar code
+// on every Table-2 core shares its VLIW core's compile and walk.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -29,6 +30,7 @@
 
 #include "core/experiment.hpp"
 #include "ir/builder.hpp"
+#include "runner/runner.hpp"
 #include "ref/gen.hpp"
 #include "sim_result_eq.hpp"
 
@@ -263,6 +265,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Variant>& info) {
       return std::string(variant_name(info.param));
     });
+
+// Scalar code reads no field of the µSIMD or vector classes, so on a µSIMD
+// or Vector core it shares its VLIW core's compile (compile_config), and
+// Runner::run replays every core of a compile in one walk, each with its
+// own functional units and memory system. Four workers run the scalar
+// variant of every app on all ten Table-2 cores; each cell must equal
+// run_app_variant, which compiles privately under the cell's own full
+// configuration. The 70 cells take 28 compiles and walks, 4 per app:
+// 2-issue, 4-issue with 2 L1 ports, Vector1-4w's 4-issue with 1 L1 port,
+// and 8-issue.
+TEST(Runner, ScalarCodeSharesItsVliwCompile) {
+  SweepSpec spec;
+  for (const App app : all_apps())
+    for (const MachineConfig& cfg : MachineConfig::all_table2())
+      spec.add(app, Variant::kScalar, cfg);
+  ASSERT_EQ(spec.size(), 70u);
+
+  RunnerOptions ropts;
+  ropts.jobs = 4;
+  Runner runner(ropts);
+  for (const CellOutcome& o : runner.run(spec)) {
+    SCOPED_TRACE(o.cell.key());
+    const AppResult direct = run_app_variant(o.cell.app, Variant::kScalar,
+                                             o.cell.cfg, o.cell.perfect);
+    EXPECT_TRUE(o.result.verified) << o.result.verify_error;
+    EXPECT_EQ(o.result.config, direct.config);
+    expect_identical(o.result.sim, direct.sim);
+  }
+  obs::Registry& m = runner.metrics();
+  EXPECT_EQ(m.counter("compile_cache.schedules").value(), 28);
+  EXPECT_EQ(m.counter("compile_cache.misses").value(), 70);
+  EXPECT_EQ(m.counter("sim.replays").value(), 28);
+}
 
 // ---- failure rules ----------------------------------------------------------------
 

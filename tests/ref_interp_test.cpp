@@ -5,6 +5,8 @@
 // simulator agreement on small hand-written programs via diff_program.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.hpp"
 #include "ref/diff.hpp"
 #include "ref/interp.hpp"
@@ -121,6 +123,24 @@ TEST(RefInterp, OpBudgetThrows) {
   InterpOptions opts;
   opts.max_ops = 100;
   EXPECT_THROW(interpret(prog, mem, opts), Error);
+}
+
+// INT64_MIN / -1 overflows a signed division: the interpreter wraps the
+// quotient to INT64_MIN, as the simulator does, and division by zero still
+// raises.
+TEST(RefInterp, DivInt64MinByMinusOneWraps) {
+  ProgramBuilder pb;
+  Reg minus_one = pb.movi(-1);
+  Reg wrapped = pb.div(pb.movi(std::numeric_limits<i64>::min()), minus_one);
+  Reg plain = pb.div(pb.movi(-7), minus_one);
+  MainMemory mem(4096);
+  const InterpResult r = interpret(pb.take(), mem);
+  EXPECT_EQ(r.state.iregs[static_cast<size_t>(wrapped.id)], u64{1} << 63);
+  EXPECT_EQ(r.state.iregs[static_cast<size_t>(plain.id)], 7u);
+
+  ProgramBuilder z;
+  z.div(z.movi(1), z.movi(0));
+  EXPECT_THROW(interpret(z.take(), mem), Error);
 }
 
 TEST(RefDiff, AgreesOnChainedVectorProgram) {

@@ -1,7 +1,7 @@
 // Tests for the parallel sweep-runner subsystem: serial/parallel parity
 // (identical results and identical report bytes), compile-cache hit/miss
-// accounting (each (app, variant, config) compiled once while resident,
-// each unit built and register-planned once), releasing compiles after
+// accounting (each compile key compiled once while resident, each unit
+// built and register-planned once), releasing compiles after
 // their last cell, result caching, and spec-order reporting.
 #include <gtest/gtest.h>
 
@@ -175,9 +175,11 @@ TEST(Runner, SharedSnapshotMatchesRunAppAndStaysPristine) {
 
 // A unit is built, verified and register-planned once, and every compile
 // of it scans that one plan. Four workers race over one app's three
-// variants on every Table-2 configuration that runs each (17 compiles from
-// 3 units): each cell equals a private run_app_variant field by field, and
-// the cache built exactly three units, whose plans it still holds.
+// variants on every Table-2 configuration that runs each (17 cells, 11
+// compiles from 3 units: the scalar cells share 4 compiles, see
+// ScalarCodeSharesItsVliwCompile): each cell equals a private
+// run_app_variant field by field, and the cache built exactly three units,
+// whose plans it still holds.
 TEST(Runner, UnitPlanSharedAcrossConfigs) {
   const App app = App::kGsmDec;
   SweepSpec spec;
@@ -202,8 +204,8 @@ TEST(Runner, UnitPlanSharedAcrossConfigs) {
   }
 
   obs::Registry& m = runner.metrics();
-  EXPECT_EQ(m.counter("compile_cache.schedules").value(), 17);
-  EXPECT_EQ(m.histogram("compile_cache.build_us").count(), 17);
+  EXPECT_EQ(m.counter("compile_cache.schedules").value(), 11);
+  EXPECT_EQ(m.histogram("compile_cache.build_us").count(), 11);
   EXPECT_EQ(m.histogram("compile_cache.unit_us").count(), 3);
 
   // Compiles of one variant point at one unit, and the plan gauge holds
@@ -303,10 +305,13 @@ TEST(Runner, MemoryDesignPointsShareOneSchedule) {
     EXPECT_EQ(render(*report, again), render(*report, outcomes));
 
   // The shared compile carries no requester's hierarchy: it stores no
-  // configuration at all, only the schedule signature it was lowered under.
+  // configuration at all, only the schedule signature of the compile
+  // configuration it was lowered under.
   const std::shared_ptr<const CompiledProgram> cp =
       runner.compile_cache().get(App::kGsmDec, Variant::kMusimd, configs[0]);
-  EXPECT_EQ(cp->image.signature, schedule_signature(MachineConfig::musimd(2)));
+  const CodeReads reads = variant_reads(Variant::kMusimd);
+  EXPECT_EQ(cp->image.signature,
+            schedule_signature(compile_config(MachineConfig::musimd(2), reads)));
 }
 
 // A group that holds every cell of the spec using its compile releases the
@@ -436,6 +441,44 @@ TEST(Runner, FailedCellSettlesTheRestAndReleasesTheirCompiles) {
       EXPECT_TRUE(runner.get(spec.cells[i]).verified) << spec.cells[i].key();
     EXPECT_EQ(m.gauge("compile_cache.bytes").value(), 0);
   }
+}
+
+// Vector code reads no µSIMD field, so gsm_dec's vector variant has one
+// compile key on VLIW-2w and uSIMD-2w, and it fails on both (neither has a
+// vector unit). Each request's error names its own core, as a private
+// compile's would: through the cache, and through a sweep whose one walk
+// group holds both cells.
+TEST(Runner, FailedSharedCompileNamesEachCore) {
+  const MachineConfig vliw = MachineConfig::vliw(2);
+  const MachineConfig musimd = MachineConfig::musimd(2);
+  ASSERT_EQ(CompileCache::key(App::kGsmDec, Variant::kVector, vliw),
+            CompileCache::key(App::kGsmDec, Variant::kVector, musimd));
+  auto expect_names = [](const MachineConfig& cfg, const auto& request) {
+    SCOPED_TRACE(cfg.name);
+    try {
+      request();
+      ADD_FAILURE() << "no compile error";
+    } catch (const CompileError& e) {
+      const std::string own = " " + cfg.name + " has no vector units";
+      EXPECT_NE(std::string(e.what()).find(own), std::string::npos)
+          << e.what();
+    }
+  };
+
+  CompileCache cache;
+  for (const MachineConfig& cfg : {vliw, musimd, musimd, vliw})
+    expect_names(cfg,
+                 [&] { (void)cache.get(App::kGsmDec, Variant::kVector, cfg); });
+
+  SweepSpec spec;
+  spec.add(App::kGsmDec, Variant::kVector, musimd);
+  spec.add(App::kGsmDec, Variant::kVector, vliw);
+  RunnerOptions ropts;
+  ropts.jobs = 2;
+  Runner runner(ropts);
+  EXPECT_THROW((void)runner.run(spec), CompileError);
+  for (const SweepCell& cell : spec.cells)
+    expect_names(cell.cfg, [&] { (void)runner.get(cell); });
 }
 
 }  // namespace

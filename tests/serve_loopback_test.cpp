@@ -180,6 +180,32 @@ TEST_F(ServeLoopback, ProgramModeRunsTheDifferentialOracle) {
   client.bye();
 }
 
+// INT64_MIN / -1 used to trap in both oracles and take the daemon down
+// with it: the quotient wraps, the cell verifies, and the connection stays
+// healthy.
+TEST_F(ServeLoopback, DivOverflowProgramLeavesTheServerServing) {
+  Client client("127.0.0.1", server_->port());
+  SimRequestNames req;
+  req.id = "prog-div";
+  req.configs = {"VLIW-2w"};
+  req.program =
+      "vuvgen 1\n"
+      "variant scalar\n"
+      "seed 0\n"
+      "atom straight\n"
+      "  op movi r1 - - - -9223372036854775808 0\n"
+      "  op movi r2 - - - -1 0\n"
+      "  op div r3 r1 r2 - 0 0\n"
+      "end\n";
+  const SimRun run = client.sim(req);
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_EQ(run.outcomes.size(), 1u);
+  EXPECT_TRUE(run.outcomes[0].result.verified)
+      << run.outcomes[0].result.verify_error;
+  client.ping();
+  client.bye();
+}
+
 TEST_F(ServeLoopback, CancellationStopsTheStream) {
   // A dedicated server: its Runner has a cold cache, so every cell costs a
   // compile and the cancel always lands well before the stream finishes

@@ -58,6 +58,28 @@ TEST(SimBasic, AbsOfInt64MinWraps) {
   EXPECT_EQ(ws.read_u64(out, 8), 5u);
 }
 
+// INT64_MIN / -1 overflows a signed division (a hardware trap on x86-64):
+// the quotient wraps to INT64_MIN, as ABS does, and division by zero still
+// raises.
+TEST(SimBasic, DivInt64MinByMinusOneWraps) {
+  Workspace ws;
+  Buffer out = ws.alloc(16);
+  ProgramBuilder b;
+  Reg base = b.movi(out.addr);
+  Reg minus_one = b.movi(-1);
+  b.std_(b.div(b.movi(std::numeric_limits<i64>::min()), minus_one), base, 0,
+         out.group);
+  b.std_(b.div(b.movi(-7), minus_one), base, 8, out.group);
+  run_program(b.take(), MachineConfig::vliw(2), ws);
+  EXPECT_EQ(ws.read_u64(out), u64{1} << 63);
+  EXPECT_EQ(ws.read_u64(out, 8), 7u);
+
+  ProgramBuilder z;
+  z.div(z.movi(1), z.movi(0));
+  Workspace zws;
+  EXPECT_THROW(run_program(z.take(), MachineConfig::vliw(2), zws), SimError);
+}
+
 TEST(SimBasic, LoopSumsIntegers) {
   Workspace ws;
   Buffer out = ws.alloc(8);

@@ -19,6 +19,7 @@
 #include "apps/apps.hpp"
 #include "common/error.hpp"
 #include "ir/builder.hpp"
+#include "runner/compile_cache.hpp"
 #include "sched/schedule.hpp"
 #include "sim/image.hpp"
 #include "verify/irlint.hpp"
@@ -385,6 +386,38 @@ TEST(SchedCheck, RejectsImageWithWrongSignature) {
   ExecImage img = lower_image(sp, cfg);
   img.signature = schedule_signature(MachineConfig::vector2(4));
   ASSERT_NE(img.signature, schedule_signature(cfg));
+  const DiagReport r = check_image(sp, img);
+  EXPECT_GE(r.count_rule("image-mismatch"), 1) << r.summary();
+}
+
+// Scalar code on uSIMD-2w reads only what it reads on VLIW-2w, so both
+// requesters get one compile (CompileCache::key), and under strict
+// verification that compile passes check_image: the image records no
+// µSIMD class and signs itself with the shared compile configuration.
+TEST(SchedCheck, SharedScalarCompilePassesStrictImageCheck) {
+  CompileCache cache;
+  cache.set_strict_verify(true);
+  const auto shared =
+      cache.get(App::kGsmDec, Variant::kScalar, MachineConfig::musimd(2));
+  EXPECT_EQ(cache.get(App::kGsmDec, Variant::kScalar, MachineConfig::vliw(2)),
+            shared);
+  EXPECT_EQ(cache.compiled_programs(), 1);
+  EXPECT_FALSE(shared->image.reads.simd);
+  EXPECT_FALSE(shared->image.reads.vector);
+  EXPECT_EQ(shared->image.signature,
+            schedule_signature(compile_config(MachineConfig::vliw(2), {})));
+}
+
+// An image that records fewer classes than its code uses would let Cpu
+// accept a configuration that differs in a class the code reads: the
+// checker rejects it even when its signature matches those classes.
+TEST(SchedCheck, RejectsImageMissingAClassItsCodeUses) {
+  const MachineConfig cfg = MachineConfig::vector2(2);
+  const ScheduledProgram sp = compile(sched_source(), cfg);
+  ExecImage img = lower_image(sp, cfg);
+  ASSERT_TRUE(img.reads.vector);
+  img.reads.vector = false;
+  img.signature = schedule_signature(compile_config(cfg, img.reads));
   const DiagReport r = check_image(sp, img);
   EXPECT_GE(r.count_rule("image-mismatch"), 1) << r.summary();
 }
